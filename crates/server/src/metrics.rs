@@ -348,6 +348,15 @@ pub struct ServerReport {
     pub sessions: Vec<SessionStats>,
 }
 
+/// A byte budget for [`ServerReport::render`]: `u64::MAX` means no budget.
+fn budget(bytes: u64) -> String {
+    if bytes == u64::MAX {
+        "unlimited".to_string()
+    } else {
+        bytes.to_string()
+    }
+}
+
 impl ServerReport {
     /// Multi-line human-readable rendering (used by the example binary).
     pub fn render(&self) -> String {
@@ -369,7 +378,7 @@ impl ServerReport {
         out.push_str(&format!(
             "memstore: {} of {} budget bytes resident (+{} rdd-cache); {} evictions dropped {} partitions ({} partial) freeing {} bytes; {} lineage recomputes, {} partition rebuilds\n",
             self.memstore_bytes,
-            self.memory_budget_bytes,
+            budget(self.memory_budget_bytes),
             self.rdd_cache_bytes,
             self.evictions,
             self.evicted_partitions,
@@ -383,7 +392,7 @@ impl ServerReport {
                 "spill tier: {} partitions ({} bytes) on disk of {} budget; lifetime {} demoted / {} promoted ({} promotions served to scans), {} displaced, {} poisoned\n",
                 self.spilled_partitions,
                 self.spill_disk_bytes,
-                self.spill_budget_bytes,
+                budget(self.spill_budget_bytes),
                 self.partitions_demoted,
                 self.partitions_promoted,
                 self.partition_promotions,
@@ -755,6 +764,18 @@ mod tests {
         assert_eq!(report.sessions[2].queries, 0);
         assert_eq!(registry.query_log().len(), 3);
         assert!(!report.render().is_empty());
+        // Unbounded budgets read as such, not as u64::MAX; JSON keeps the
+        // raw numbers.
+        let mut unbounded = report.clone();
+        unbounded.memory_budget_bytes = u64::MAX;
+        unbounded.spill_budget_bytes = u64::MAX;
+        let rendered = unbounded.render();
+        assert!(rendered.contains("of unlimited budget bytes resident"));
+        assert!(rendered.contains("on disk of unlimited budget"));
+        assert!(!rendered.contains(&u64::MAX.to_string()));
+        assert!(unbounded
+            .to_json()
+            .contains(&format!("\"memory_budget_bytes\":{}", u64::MAX)));
         let json = report.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"total_queries\":3"));

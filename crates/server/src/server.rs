@@ -24,6 +24,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use shark_common::{Result, Row, Schema, SharkError};
 use shark_rdd::{RddConfig, RddContext};
+use shark_sql::ast::Statement;
 use shark_sql::exec::LoadReport;
 use shark_sql::{
     Catalog, ExecConfig, PlanCache, QueryResult, QueryStream, RowGenerator, SqlSession,
@@ -231,24 +232,16 @@ impl ServerShared {
     /// allows (possibly 0 — the stream then runs serially, it is never
     /// rejected). The grant must be returned via [`Self::release_prefetch`].
     fn acquire_prefetch(&self, requested: usize) -> usize {
-        if requested == 0 {
-            return 0;
-        }
-        loop {
-            let used = self.prefetch_in_use.load(Ordering::Relaxed);
-            let available = self.max_total_prefetch.saturating_sub(used);
-            let grant = requested.min(available);
-            if grant == 0 {
-                return 0;
-            }
-            if self
-                .prefetch_in_use
-                .compare_exchange(used, used + grant, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-            {
-                return grant;
-            }
-        }
+        let mut grant = 0;
+        // `fetch_update` retries the closure until its compare-exchange
+        // lands, so `grant` ends as the amount actually added (or 0).
+        let _ = self
+            .prefetch_in_use
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |used| {
+                grant = requested.min(self.max_total_prefetch.saturating_sub(used));
+                (grant > 0).then_some(used + grant)
+            });
+        grant
     }
 
     fn release_prefetch(&self, granted: usize) {
@@ -378,44 +371,25 @@ impl ServerShared {
     }
 }
 
-/// RAII whole-table pins: releases on drop, so a query that panics or
-/// errors between pin and unpin can no longer leak its pins and leave the
-/// tables unevictable forever. A cursor that must keep the pins alive past
-/// the guard's scope takes them over with [`PinGuard::into_tables`].
+/// RAII whole-table pins for the admin load paths: releases on drop, so a
+/// load that panics or errors between pin and unpin cannot leak its pins
+/// and leave the table unevictable forever. (Queries pin through their
+/// [`QueryLifecycle`] instead.)
 struct PinGuard<'a> {
     memstore: &'a MemstoreManager,
     tables: Vec<String>,
-    armed: bool,
 }
 
 impl<'a> PinGuard<'a> {
-    /// Pin `tables`; returns the guard plus the recompute signal
-    /// [`MemstoreManager::pin`] reports.
-    fn pin(memstore: &'a MemstoreManager, tables: Vec<String>) -> (PinGuard<'a>, usize) {
-        let recomputes = memstore.pin(&tables);
-        (
-            PinGuard {
-                memstore,
-                tables,
-                armed: true,
-            },
-            recomputes,
-        )
-    }
-
-    /// Disarm the guard and hand the still-pinned tables to the caller,
-    /// which becomes responsible for unpinning them (the cursor path).
-    fn into_tables(mut self) -> Vec<String> {
-        self.armed = false;
-        std::mem::take(&mut self.tables)
+    fn pin(memstore: &'a MemstoreManager, tables: Vec<String>) -> PinGuard<'a> {
+        memstore.pin(&tables);
+        PinGuard { memstore, tables }
     }
 }
 
 impl Drop for PinGuard<'_> {
     fn drop(&mut self) {
-        if self.armed {
-            self.memstore.unpin(&self.tables);
-        }
+        self.memstore.unpin(&self.tables);
     }
 }
 
@@ -672,7 +646,7 @@ impl SharkServer {
         // Pin before loading so a concurrent enforcement cannot evict the
         // table out from under the load. (Recency is tracked by the
         // memtable itself: the load's puts refresh each partition's tick.)
-        let (pins, _) = PinGuard::pin(&self.shared.memstore, vec![table.name.clone()]);
+        let pins = PinGuard::pin(&self.shared.memstore, vec![table.name.clone()]);
         let report = shark_sql::exec::load_table(&self.shared.ctx, &table);
         // Record the exact full-load footprint while every partition is
         // still resident (before enforcement may evict): it is the provable
@@ -902,132 +876,42 @@ impl SessionHandle {
         let shared = &self.shared;
         // Parse up front so we know which tables to touch/pin — and so a
         // syntactically invalid query never occupies an execution slot.
-        // Parse failures still count as failed queries in the metrics.
         // With a plan cache attached, a repeated statement skips the parser
         // through the cache's (epoch-independent) parse tier.
-        let statement = match self.sql.parse_cached(text) {
-            Ok(statement) => statement,
-            Err(err) => {
-                self.record_parse_failure(text);
-                return Err(err);
-            }
-        };
-        let tables = pinned_tables_for(&statement);
-
-        // Root span of this query's trace (when query tracing is on). The
-        // attach guard puts the trace context on this thread so every
-        // engine/scheduler span below nests under it; it is dropped before
-        // the root span itself records.
-        let mut root = if shark_obs::tracer().is_enabled() {
-            let mut span = shark_obs::start_trace("query");
-            span.annotate("statement", text);
-            span.annotate("session", &self.id.to_string());
-            Some(span)
-        } else {
-            None
-        };
-        let _trace = root.as_ref().map(|r| r.context().attach());
-
-        let acquired = {
-            // Admission-queue wait as its own span; the always-on histogram
-            // counterpart is observed in `MetricsRegistry::record`.
-            let _wait = shark_obs::span("admission-wait");
-            shared.admission.acquire()
-        };
-        let (permit, queue_wait) = match acquired {
-            Ok(admitted) => admitted,
-            Err(err) => {
-                if let Some(root) = root.as_mut() {
-                    root.annotate("rejected", "true");
-                }
-                shared.metrics.record_rejection(self.id);
-                return Err(SharkError::Execution(err.to_string()));
-            }
-        };
-        // RAII pins: a panic inside the engine unwinds through the guard
-        // and still releases them, so the tables stay evictable.
-        let (pins, recomputed_tables) = PinGuard::pin(&shared.memstore, tables);
-        let cache_hit_bytes = cache_hit_bytes(&shared.catalog, &pins.tables);
-        let residency_before = table_residency(&shared.catalog, &pins.tables);
+        let parsed = self.sql.parse_cached(text);
+        let (mut life, statement) = QueryLifecycle::open(self, text, parsed, "query", 0)?;
+        // Nest every engine/scheduler span of this query under its root.
+        let _trace = life.attach();
         let exec_started = Instant::now();
         let result = self.sql.execute_statement_cached(text, &statement);
-        let exec_time = exec_started.elapsed();
-        drop(pins);
-        let plan_cache_hit = result.as_ref().map(|(_, hit)| *hit).unwrap_or(false);
-        let result = result.map(|(result, _)| result);
-        if result.is_ok() {
-            match statement.as_ref() {
-                shark_sql::ast::Statement::DropTable { name } => {
-                    // The table is gone from the catalog; clear its LRU/pin/
-                    // recompute/owner bookkeeping so a future table reusing
-                    // the name starts clean. Its lineage-rebuild count stays
-                    // visible through the catalog's deferred share until the
-                    // version is reclaimed, then moves into the retired
-                    // total — the server-wide metric never decreases.
-                    shared.memstore.forget(&name.to_lowercase());
-                }
-                shark_sql::ast::Statement::CreateTableAs { name, .. } => {
-                    // The new table's resident bytes are charged to the
-                    // session that created it.
-                    shared.memstore.record_owner(&name.to_lowercase(), self.id);
-                }
-                _ => {}
+        life.metrics.exec_time = exec_started.elapsed();
+        // An engine error drops `life`, which closes it as a failed query.
+        let (result, plan_cache_hit) = result?;
+        life.metrics.plan_cache_hit = plan_cache_hit;
+        life.metrics.sim_seconds = result.sim_seconds;
+        life.metrics.rows_streamed = result.rows.len() as u64;
+        life.metrics.failed = false;
+        match statement.as_ref() {
+            Statement::DropTable { name } => {
+                // The table is gone from the catalog; clear its LRU/pin/
+                // recompute/owner bookkeeping so a future table reusing
+                // the name starts clean. Its lineage-rebuild count stays
+                // visible through the catalog's deferred share until the
+                // version is reclaimed, then moves into the retired
+                // total — the server-wide metric never decreases.
+                shared.memstore.forget(&name.to_lowercase());
             }
-        }
-        // The query may have grown the memstore (lazy loads, lineage
-        // rebuilds, CREATE TABLE … cached): charge any table it faulted in
-        // to this session, bring the session back under its own quota (its
-        // LRU partitions go first), then re-enforce the global budget while
-        // we still hold the permit so concurrent enforcement stays bounded.
-        charge_faulted_tables(shared, self.id, &residency_before);
-        let quota_events = shared
-            .memstore
-            .enforce_session_quota(self.id, &shared.catalog);
-        let evictions = shared.memstore.enforce(&shared.catalog, shared.ctx.cache());
-        // The statement's own snapshot pin is released by now (the engine
-        // holds it only for the statement's lifetime), so a DROP TABLE this
-        // query performed — or one whose last pinning cursor has since
-        // closed — can be reclaimed here.
-        shared.memstore.reclaim_dropped(&shared.catalog);
-        drop(permit);
-        let promotions = shared.memstore.drain_promotions();
-        record_enforcement_events(&evictions, &quota_events, &promotions);
-        // Commit this query's durable effects (CTAS/DROP, demotions,
-        // promotions) before its result is observable.
-        shared.persist_durable();
-
-        let metrics = QueryMetrics {
-            session_id: self.id,
-            query_id: shared.next_query_id.fetch_add(1, Ordering::Relaxed),
-            statement: text.to_string(),
-            queue_wait,
-            exec_time,
-            sim_seconds: result.as_ref().map(|r| r.sim_seconds).unwrap_or(0.0),
-            // Batch delivery: the whole result arrives when execution ends.
-            time_to_first_row: exec_time,
-            rows_streamed: result.as_ref().map(|r| r.rows.len() as u64).unwrap_or(0),
-            partitions_streamed: 0,
-            partitions_total: 0,
-            streamed: false,
-            prefetch_depth: 0,
-            prefetch_hits: 0,
-            cache_hit_bytes,
-            recomputed_tables,
-            evictions_triggered: evictions.len(),
-            quota_evictions: quota_events.iter().map(EvictionEvent::partitions).sum(),
-            plan_cache_hit,
-            failed: result.is_err(),
-        };
-        if let Some(root) = root.as_mut() {
-            root.add_rows(metrics.rows_streamed);
-            if metrics.failed {
-                root.annotate("failed", "true");
+            Statement::CreateTableAs { name, .. } => {
+                // The new table's resident bytes are charged to the
+                // session that created it.
+                shared.memstore.record_owner(&name.to_lowercase(), self.id);
             }
+            _ => {}
         }
-        shared.metrics.record(metrics.clone());
+        life.close();
         Ok(SessionQueryResult {
-            result: result?,
-            metrics,
+            result,
+            metrics: life.metrics.clone(),
         })
     }
 
@@ -1040,169 +924,54 @@ impl SessionHandle {
     /// evictable (evicted partitions are rebuilt from lineage when their
     /// morsel runs). A LIMIT stream stops launching partitions early.
     pub fn sql_stream(&self, text: &str) -> Result<QueryCursor<'_>> {
-        let shared = &self.shared;
         // Parse through the cache's parse tier; a non-SELECT statement gets
         // the same error `parser::parse_select` would produce.
-        let parsed = match self.sql.parse_cached(text) {
-            Ok(parsed) => parsed,
-            Err(err) => {
-                self.record_parse_failure(text);
-                return Err(err);
-            }
-        };
-        let statement = match parsed.as_ref() {
-            shark_sql::ast::Statement::Select(statement) => statement,
-            other => {
-                self.record_parse_failure(text);
-                return Err(SharkError::Parse(format!(
+        let parsed = self
+            .sql
+            .parse_cached(text)
+            .and_then(|parsed| match parsed.as_ref() {
+                Statement::Select(_) => Ok(parsed),
+                other => Err(SharkError::Parse(format!(
                     "expected a SELECT statement, found {other:?}"
-                )));
-            }
+                ))),
+            });
+        let prefetch = self.sql.stream_prefetch();
+        let (mut life, parsed) =
+            QueryLifecycle::open(self, text, parsed, "query-stream", prefetch)?;
+        let Statement::Select(statement) = parsed.as_ref() else {
+            unreachable!("non-SELECT statements fail before admission")
         };
-        let tables = statement.referenced_tables();
-
-        // Root span of the streamed query's trace. It is *stored in the
-        // cursor* and finished by `finalize`, so batch deliveries that
-        // happen long after this call still belong to the same trace.
-        let mut root = if shark_obs::tracer().is_enabled() {
-            let mut span = shark_obs::start_trace("query-stream");
-            span.annotate("statement", text);
-            span.annotate("session", &self.id.to_string());
-            Some(span)
-        } else {
-            None
-        };
-        let _trace = root.as_ref().map(|r| r.context().attach());
-
-        let acquired = {
-            let _wait = shark_obs::span("admission-wait");
-            shared.admission.acquire()
-        };
-        let (permit, queue_wait) = match acquired {
-            Ok(admitted) => admitted,
-            Err(err) => {
-                if let Some(root) = root.as_mut() {
-                    root.annotate("rejected", "true");
-                }
-                shared.metrics.record_rejection(self.id);
-                return Err(SharkError::Execution(err.to_string()));
-            }
-        };
-        // RAII pins: released on any error/panic path below; the success
-        // path hands them over to the cursor, which owns them from then on.
-        let (pins, recomputed_tables) = PinGuard::pin(&shared.memstore, tables);
-        let cache_hit_bytes = cache_hit_bytes(&shared.catalog, &pins.tables);
-        let residency_before = table_residency(&shared.catalog, &pins.tables);
-        // Clamp this cursor's prefetch under the server-wide budget while
-        // the admission permit is already held, so total speculative work
-        // stays bounded alongside total in-flight queries.
-        let prefetch = shared.acquire_prefetch(self.sql.stream_prefetch());
-        let admitted_at = Instant::now();
-        match self.sql.sql_to_stream_cached(text, statement) {
-            Ok((stream, plan_cache_hit)) => {
-                let stream = stream.with_prefetch(prefetch);
-                // Single-scan streams swap the whole-table pin for
-                // partition-granular pins on delivered partitions: a
-                // long-lived cursor no longer holds every partition of the
-                // table hostage against eviction — undelivered partitions
-                // stay evictable and are rebuilt from lineage if a morsel
-                // needs one after pressure took it.
-                let mut tables = pins.into_tables();
-                let scan_table = stream.single_scan_table().and_then(|scan| {
-                    let at = tables.iter().position(|t| t == scan)?;
-                    let released = tables.remove(at);
-                    shared.memstore.unpin(std::slice::from_ref(&released));
-                    Some(released)
-                });
-                Ok(QueryCursor {
-                    session: self,
-                    permit: Some(permit),
-                    stream,
-                    tables,
-                    scan_table,
-                    pinned_partitions: 0,
-                    residency_before,
-                    statement: text.to_string(),
-                    queue_wait,
-                    admitted_at,
-                    recomputed_tables,
-                    cache_hit_bytes,
-                    prefetch,
-                    plan_cache_hit,
-                    root,
-                    failed: false,
-                    finalized: false,
-                })
-            }
-            Err(err) => {
-                // Planning failed: release everything and record the
-                // failure before the permit drops.
-                if let Some(root) = root.as_mut() {
-                    root.annotate("failed", "true");
-                }
-                shared.release_prefetch(prefetch);
-                drop(pins);
-                let evictions = shared.memstore.enforce(&shared.catalog, shared.ctx.cache());
-                shared.memstore.reclaim_dropped(&shared.catalog);
-                drop(permit);
-                shared.metrics.record(QueryMetrics {
-                    session_id: self.id,
-                    query_id: shared.next_query_id.fetch_add(1, Ordering::Relaxed),
-                    statement: text.to_string(),
-                    queue_wait,
-                    exec_time: admitted_at.elapsed(),
-                    sim_seconds: 0.0,
-                    time_to_first_row: admitted_at.elapsed(),
-                    rows_streamed: 0,
-                    partitions_streamed: 0,
-                    partitions_total: 0,
-                    // No cursor was ever handed out, so this does not
-                    // count toward the streamed-query aggregates.
-                    streamed: false,
-                    prefetch_depth: 0,
-                    prefetch_hits: 0,
-                    cache_hit_bytes,
-                    recomputed_tables,
-                    evictions_triggered: evictions.len(),
-                    quota_evictions: 0,
-                    plan_cache_hit: false,
-                    failed: true,
-                });
-                Err(err)
+        let _trace = life.attach();
+        let planned = self.sql.sql_to_stream_cached(text, statement);
+        life.metrics.exec_time = life.admitted_at.elapsed();
+        // A planning error drops `life`, which closes it as a failed query.
+        let (stream, plan_cache_hit) = planned?;
+        let stream = stream.with_prefetch(life.metrics.prefetch_depth);
+        life.metrics.plan_cache_hit = plan_cache_hit;
+        // Only a query that got a cursor counts toward the streamed-query
+        // aggregates.
+        life.metrics.streamed = true;
+        life.metrics.failed = false;
+        // Single-scan streams swap the whole-table pin for partition-
+        // granular pins on delivered partitions: a long-lived cursor no
+        // longer holds every partition of the table hostage against
+        // eviction — undelivered partitions stay evictable and are rebuilt
+        // from lineage if a morsel needs one after pressure took it.
+        if let Some(scan) = stream.single_scan_table() {
+            if let Some(at) = life.tables.iter().position(|t| t == scan) {
+                let released = life.tables.remove(at);
+                self.shared.memstore.unpin(std::slice::from_ref(&released));
+                life.scan_pins = Some((released, Vec::new()));
             }
         }
+        Ok(QueryCursor { life, stream })
     }
 
     /// Parse a statement through the plan cache's parse tier without
     /// executing it — the wire frontend's Prepare path, which wants parse
     /// errors at prepare time and a warmed cache for the Executes after.
-    pub(crate) fn parse_statement(&self, text: &str) -> Result<Arc<shark_sql::ast::Statement>> {
+    pub(crate) fn parse_statement(&self, text: &str) -> Result<Arc<Statement>> {
         self.sql.parse_cached(text)
-    }
-
-    /// Record a query that never got past parsing.
-    fn record_parse_failure(&self, text: &str) {
-        self.shared.metrics.record(QueryMetrics {
-            session_id: self.id,
-            query_id: self.shared.next_query_id.fetch_add(1, Ordering::Relaxed),
-            statement: text.to_string(),
-            queue_wait: Duration::ZERO,
-            exec_time: Duration::ZERO,
-            sim_seconds: 0.0,
-            time_to_first_row: Duration::ZERO,
-            rows_streamed: 0,
-            partitions_streamed: 0,
-            partitions_total: 0,
-            streamed: false,
-            prefetch_depth: 0,
-            prefetch_hits: 0,
-            cache_hit_bytes: 0,
-            recomputed_tables: 0,
-            evictions_triggered: 0,
-            quota_evictions: 0,
-            plan_cache_hit: false,
-            failed: true,
-        });
     }
 
     /// Eagerly load a cached table through this session (admission-gated
@@ -1230,7 +999,7 @@ impl SessionHandle {
             .map_err(|e| SharkError::Execution(e.to_string()))?;
         // Pin before loading so a concurrent enforcement cannot evict the
         // table out from under the load; charge the load to this session.
-        let (pins, _) = PinGuard::pin(&shared.memstore, vec![lowered.clone()]);
+        let pins = PinGuard::pin(&shared.memstore, vec![lowered.clone()]);
         let report = self.sql.load_table(name);
         if report.is_ok() {
             shared.memstore.record_owner(&lowered, self.id);
@@ -1461,39 +1230,15 @@ fn placeholder_generator(name: &str) -> RowGenerator {
 /// reads, plus — for CTAS — the table it *creates*, so a concurrent budget
 /// enforcement cannot evict the target's freshly loaded memstore partitions
 /// mid-load.
-fn pinned_tables_for(statement: &shark_sql::ast::Statement) -> Vec<String> {
+fn pinned_tables_for(statement: &Statement) -> Vec<String> {
     let mut tables = statement.referenced_tables();
-    if let shark_sql::ast::Statement::CreateTableAs { name, .. } = statement {
+    if let Statement::CreateTableAs { name, .. } = statement {
         let target = name.to_lowercase();
         if !tables.contains(&target) {
             tables.push(target);
         }
     }
     tables
-}
-
-/// Resident columnar bytes of the referenced cached tables (the bytes the
-/// scans could serve straight from the memstore).
-fn cache_hit_bytes(catalog: &Catalog, tables: &[String]) -> u64 {
-    tables
-        .iter()
-        .filter_map(|name| catalog.get(name).ok())
-        .filter_map(|t| t.cached.as_ref().map(|m| m.memory_bytes()))
-        .sum()
-}
-
-/// Per-table resident bytes of the referenced cached tables, snapshotted
-/// before a query runs so [`charge_faulted_tables`] can attribute growth.
-fn table_residency(catalog: &Catalog, tables: &[String]) -> Vec<(String, u64)> {
-    tables
-        .iter()
-        .filter_map(|name| catalog.get(name).ok())
-        .filter_map(|t| {
-            t.cached
-                .as_ref()
-                .map(|m| (t.name.clone(), m.memory_bytes()))
-        })
-        .collect()
 }
 
 /// Charge every referenced table whose residency this query *grew* (lazy
@@ -1519,44 +1264,235 @@ fn charge_faulted_tables(shared: &ServerShared, session_id: u64, before: &[(Stri
     }
 }
 
+/// One query's trip through the server, shared by the blocking and the
+/// streamed path: [`QueryLifecycle::open`] admits and pins it, the caller
+/// runs the engine and fills in what it observed, and
+/// [`QueryLifecycle::close`] — idempotent, and run on drop, so errors and
+/// panics take the same path — releases everything, enforces quota and
+/// budget, commits durable effects and records the query's one
+/// [`QueryMetrics`]. A blocking query closes inside
+/// [`SessionHandle::sql`]; a streamed one hands its lifecycle to the
+/// [`QueryCursor`], which closes it when the stream ends or is dropped.
+struct QueryLifecycle<'s> {
+    shared: &'s ServerShared,
+    /// Root span of the query's trace (when tracing is on), finished by
+    /// close — so a stream's batch deliveries, long after
+    /// [`SessionHandle::sql_stream`] returned, still belong to its trace.
+    root: Option<shark_obs::DetachedSpan>,
+    /// Held from admission until close; `None` for a query that never got
+    /// past parsing.
+    permit: Option<AdmissionPermit<'s>>,
+    /// Tables held under whole-table pins until close.
+    tables: Vec<String>,
+    /// Single-scan target pinned at partition granularity instead, with
+    /// the partitions pinned so far: only partitions the stream has
+    /// delivered are pinned, via [`QueryCursor::sync_partition_pins`]
+    /// (the stream's delivered-partition list is append-only).
+    scan_pins: Option<(String, Vec<usize>)>,
+    /// Referenced tables' resident bytes at admission, for fault-in
+    /// ownership attribution on close.
+    residency_before: Vec<(String, u64)>,
+    /// End of `open`; a stream's execution time is measured from here.
+    admitted_at: Instant,
+    /// When a stream delivered its first row; close falls back to the
+    /// execution time (`metrics.exec_time`, stamped by the caller).
+    first_row: Option<Duration>,
+    /// This query's metrics, filled in as it runs. `failed` stays set
+    /// until the caller reports success, so every error path — and an
+    /// unwinding panic — records a failed query.
+    metrics: QueryMetrics,
+    closed: bool,
+}
+
+impl<'s> QueryLifecycle<'s> {
+    /// Admit a parsed statement: record a parse failure, or start the root
+    /// span (`root_name`), wait for admission, pin the statement's tables,
+    /// snapshot their residency and take up to `prefetch` of the server's
+    /// prefetch budget. A rejected query records a rejection and no
+    /// [`QueryMetrics`].
+    fn open(
+        session: &'s SessionHandle,
+        text: &str,
+        parsed: Result<Arc<Statement>>,
+        root_name: &str,
+        prefetch: usize,
+    ) -> Result<(QueryLifecycle<'s>, Arc<Statement>)> {
+        let shared = &*session.shared;
+        let mut life = QueryLifecycle {
+            shared,
+            root: None,
+            permit: None,
+            tables: Vec::new(),
+            scan_pins: None,
+            residency_before: Vec::new(),
+            admitted_at: Instant::now(),
+            first_row: None,
+            metrics: QueryMetrics {
+                session_id: session.id,
+                query_id: 0,
+                statement: text.to_string(),
+                queue_wait: Duration::ZERO,
+                exec_time: Duration::ZERO,
+                sim_seconds: 0.0,
+                time_to_first_row: Duration::ZERO,
+                rows_streamed: 0,
+                partitions_streamed: 0,
+                partitions_total: 0,
+                streamed: false,
+                prefetch_depth: 0,
+                prefetch_hits: 0,
+                cache_hit_bytes: 0,
+                recomputed_tables: 0,
+                evictions_triggered: 0,
+                quota_evictions: 0,
+                plan_cache_hit: false,
+                failed: true,
+            },
+            closed: false,
+        };
+        // A parse failure drops `life` here, recording a failed query that
+        // never held a span, permit or pin.
+        let statement = parsed?;
+        if shark_obs::tracer().is_enabled() {
+            let mut span = shark_obs::start_trace(root_name);
+            span.annotate("statement", text);
+            span.annotate("session", &session.id.to_string());
+            life.root = Some(span);
+        }
+        let _trace = life.attach();
+        let acquired = {
+            // Admission-queue wait as its own span; the always-on histogram
+            // counterpart is observed in `MetricsRegistry::record`.
+            let _wait = shark_obs::span("admission-wait");
+            shared.admission.acquire()
+        };
+        let (permit, queue_wait) = match acquired {
+            Ok(admitted) => admitted,
+            Err(err) => {
+                if let Some(root) = life.root.as_mut() {
+                    root.annotate("rejected", "true");
+                }
+                shared.metrics.record_rejection(session.id);
+                life.closed = true;
+                return Err(SharkError::Execution(err.to_string()));
+            }
+        };
+        life.permit = Some(permit);
+        life.metrics.queue_wait = queue_wait;
+        life.tables = pinned_tables_for(&statement);
+        life.metrics.recomputed_tables = shared.memstore.pin(&life.tables);
+        // Per-table resident bytes of the referenced cached tables, so close
+        // can attribute growth (`charge_faulted_tables`); their sum is the
+        // bytes the scans could serve straight from the memstore.
+        life.residency_before = life
+            .tables
+            .iter()
+            .filter_map(|name| shared.catalog.get(name).ok())
+            .filter_map(|t| {
+                t.cached
+                    .as_ref()
+                    .map(|m| (t.name.clone(), m.memory_bytes()))
+            })
+            .collect();
+        life.metrics.cache_hit_bytes = life.residency_before.iter().map(|(_, b)| b).sum();
+        // Clamp a stream's prefetch under the server-wide budget while the
+        // admission permit is already held, so total speculative work
+        // stays bounded alongside total in-flight queries.
+        life.metrics.prefetch_depth = shared.acquire_prefetch(prefetch);
+        life.admitted_at = Instant::now();
+        Ok((life, statement))
+    }
+
+    /// Put this query's trace context on the current thread (a cursor may
+    /// be drained and closed on another thread than the one that opened
+    /// it).
+    fn attach(&self) -> Option<shark_obs::AttachGuard> {
+        self.root.as_ref().map(|r| r.context().attach())
+    }
+
+    /// The completion sequence, run once: release the prefetch grant and
+    /// pins, charge faulted-in tables, re-enforce quota and budget while
+    /// the permit is still held (so concurrent enforcement stays bounded),
+    /// reclaim dropped versions, release the permit, commit durable
+    /// effects, then finish the root span and record the metrics.
+    fn close(&mut self) {
+        if self.closed {
+            return;
+        }
+        self.closed = true;
+        let shared = self.shared;
+        let _trace = self.attach();
+        let metrics = &mut self.metrics;
+        // Batch delivery: the whole result arrives when execution ends.
+        metrics.time_to_first_row = self.first_row.unwrap_or(metrics.exec_time);
+        if let Some(permit) = self.permit.take() {
+            shared.release_prefetch(metrics.prefetch_depth);
+            shared.memstore.unpin(&self.tables);
+            if let Some((table, partitions)) = &self.scan_pins {
+                for &partition in partitions {
+                    shared.memstore.unpin_partition(table, partition);
+                }
+            }
+            // The query may have grown the memstore (lazy loads, lineage
+            // rebuilds, CREATE TABLE … cached): charge any table it faulted
+            // in to this session, then bring the session back under its own
+            // quota (its LRU partitions go first) and the global budget.
+            charge_faulted_tables(shared, metrics.session_id, &self.residency_before);
+            let quota_events = shared
+                .memstore
+                .enforce_session_quota(metrics.session_id, &shared.catalog);
+            let evictions = shared.memstore.enforce(&shared.catalog, shared.ctx.cache());
+            // The statement's own snapshot pin is released by now (the
+            // engine holds it only for the statement's lifetime; a cursor
+            // cancels its stream first), so a DROP TABLE this query
+            // performed — or one whose last pinning cursor has since
+            // closed — can be reclaimed here.
+            shared.memstore.reclaim_dropped(&shared.catalog);
+            drop(permit);
+            let promotions = shared.memstore.drain_promotions();
+            record_enforcement_events(&evictions, &quota_events, &promotions);
+            // Commit this query's durable effects (CTAS/DROP, demotions,
+            // promotions) before its result is observable.
+            shared.persist_durable();
+            metrics.evictions_triggered = evictions.len();
+            metrics.quota_evictions = quota_events.iter().map(EvictionEvent::partitions).sum();
+        }
+        if let Some(mut root) = self.root.take() {
+            root.add_rows(metrics.rows_streamed);
+            if metrics.streamed {
+                root.annotate(
+                    "partitions",
+                    &format!(
+                        "{}/{}",
+                        metrics.partitions_streamed, metrics.partitions_total
+                    ),
+                );
+            }
+            if metrics.failed {
+                root.annotate("failed", "true");
+            }
+            root.finish();
+        }
+        metrics.query_id = shared.next_query_id.fetch_add(1, Ordering::Relaxed);
+        shared.metrics.record(metrics.clone());
+    }
+}
+
+impl Drop for QueryLifecycle<'_> {
+    fn drop(&mut self) {
+        self.close();
+    }
+}
+
 /// A streaming result cursor handed out by [`SessionHandle::sql_stream`].
 ///
-/// The cursor owns the query's admission permit and the memstore pins on
-/// every referenced table. Both are released — and the query's
-/// [`QueryMetrics`] recorded — when the stream is exhausted, when an
-/// execution error surfaces, or when the cursor is dropped mid-stream.
+/// The cursor owns the query's lifecycle — its admission permit and
+/// memstore pins. Both are released, and the query's [`QueryMetrics`]
+/// recorded, when the stream is exhausted, when an execution error
+/// surfaces, or when the cursor is dropped mid-stream.
 pub struct QueryCursor<'s> {
-    session: &'s SessionHandle,
-    permit: Option<AdmissionPermit<'s>>,
+    life: QueryLifecycle<'s>,
     stream: QueryStream,
-    /// Tables held under whole-table pins for the cursor's lifetime
-    /// (everything referenced except a single-scan target).
-    tables: Vec<String>,
-    /// Single-scan target pinned at partition granularity instead: only
-    /// partitions the stream has delivered are pinned, via
-    /// [`QueryCursor::sync_partition_pins`].
-    scan_table: Option<String>,
-    /// How many entries of the stream's delivered-partition list have been
-    /// pinned so far (the list is append-only).
-    pinned_partitions: usize,
-    /// Referenced tables' resident bytes at admission, for fault-in
-    /// ownership attribution on finalize.
-    residency_before: Vec<(String, u64)>,
-    statement: String,
-    queue_wait: Duration,
-    admitted_at: Instant,
-    recomputed_tables: usize,
-    cache_hit_bytes: u64,
-    /// Prefetch depth granted out of the server's aggregate budget,
-    /// returned to the pool on finalize.
-    prefetch: usize,
-    /// Whether this stream's plan came out of the shared plan cache.
-    plan_cache_hit: bool,
-    /// Root trace span of the streamed query (when tracing is on),
-    /// finished with delivery totals when the cursor finalizes.
-    root: Option<shark_obs::DetachedSpan>,
-    failed: bool,
-    finalized: bool,
 }
 
 impl QueryCursor<'_> {
@@ -1577,7 +1513,7 @@ impl QueryCursor<'_> {
 
     /// Whether this stream's plan came out of the shared plan cache.
     pub fn plan_cache_hit(&self) -> bool {
-        self.plan_cache_hit
+        self.life.metrics.plan_cache_hit
     }
 
     /// Simulated cluster seconds accumulated by the partitions run so far.
@@ -1589,7 +1525,7 @@ impl QueryCursor<'_> {
     /// exhausted, at which point the admission permit and table pins have
     /// been released and the query's metrics recorded.
     pub fn next_batch(&mut self) -> Result<Option<Vec<Row>>> {
-        if self.finalized {
+        if self.life.closed {
             return Ok(None);
         }
         match self.stream.next_batch() {
@@ -1602,7 +1538,7 @@ impl QueryCursor<'_> {
                 Ok(None)
             }
             Err(err) => {
-                self.failed = true;
+                self.life.metrics.failed = true;
                 self.finalize();
                 Err(err)
             }
@@ -1611,14 +1547,14 @@ impl QueryCursor<'_> {
 
     /// Pin every newly delivered partition of the single-scan table.
     fn sync_partition_pins(&mut self) {
-        let Some(table) = &self.scan_table else {
+        let Some((table, pinned)) = &mut self.life.scan_pins else {
             return;
         };
         let delivered = self.stream.delivered_scan_partitions();
-        for &partition in &delivered[self.pinned_partitions..] {
-            self.session.shared.memstore.pin_partition(table, partition);
+        for &partition in &delivered[pinned.len()..] {
+            self.life.shared.memstore.pin_partition(table, partition);
+            pinned.push(partition);
         }
-        self.pinned_partitions = delivered.len();
     }
 
     /// Drain the rest of the stream into one vector (closing the cursor).
@@ -1630,86 +1566,26 @@ impl QueryCursor<'_> {
         Ok(rows)
     }
 
-    /// Release pins + permit and record this query's metrics. Idempotent.
+    /// Stop the stream and close the query's lifecycle. Idempotent.
     fn finalize(&mut self) {
-        if self.finalized {
+        let life = &mut self.life;
+        if life.closed {
             return;
         }
-        self.finalized = true;
-        let shared = &self.session.shared;
-        let exec_time = self.admitted_at.elapsed();
-        // Re-attach the query's trace context (finalize may run on a
-        // different thread than sql_stream) so enforcement events below
-        // land inside this query's trace.
-        let _attach = if shark_obs::active() {
-            self.root.as_ref().map(|r| r.context().attach())
-        } else {
-            None
-        };
+        life.metrics.exec_time = life.admitted_at.elapsed();
+        let _trace = life.attach();
         // Stop the stream first (cancelling + joining any prefetch workers)
         // so no task can touch a table after its pin is released.
         self.stream.cancel();
-        let progress = self.stream.progress().clone();
-        let sim_seconds = self.stream.sim_seconds();
-        shared.release_prefetch(self.prefetch);
-        shared.memstore.unpin(&self.tables);
-        if let Some(table) = &self.scan_table {
-            let delivered = self.stream.delivered_scan_partitions();
-            for &partition in &delivered[..self.pinned_partitions] {
-                shared.memstore.unpin_partition(table, partition);
-            }
-        }
-        // Charge faulted-in tables, then re-enforce quota + budget while
-        // still holding the permit, exactly as the batch path does on
-        // completion.
-        charge_faulted_tables(shared, self.session.id, &self.residency_before);
-        let quota_events = shared
-            .memstore
-            .enforce_session_quota(self.session.id, &shared.catalog);
-        let evictions = shared.memstore.enforce(&shared.catalog, shared.ctx.cache());
-        // Cancelling the stream released its catalog-snapshot pin: if this
-        // cursor was the last reference to a dropped table version, its
-        // memstore is reclaimed now.
-        shared.memstore.reclaim_dropped(&shared.catalog);
-        self.permit.take();
-        let promotions = shared.memstore.drain_promotions();
-        record_enforcement_events(&evictions, &quota_events, &promotions);
-        shared.persist_durable();
-        if let Some(mut root) = self.root.take() {
-            root.add_rows(progress.rows_streamed);
-            root.annotate(
-                "partitions",
-                &format!(
-                    "{}/{}",
-                    progress.partitions_streamed, progress.partitions_total
-                ),
-            );
-            if self.failed {
-                root.annotate("failed", "true");
-            }
-            root.finish();
-        }
-        shared.metrics.record(QueryMetrics {
-            session_id: self.session.id,
-            query_id: shared.next_query_id.fetch_add(1, Ordering::Relaxed),
-            statement: self.statement.clone(),
-            queue_wait: self.queue_wait,
-            exec_time,
-            sim_seconds,
-            time_to_first_row: progress.time_to_first_row.unwrap_or(exec_time),
-            rows_streamed: progress.rows_streamed,
-            partitions_streamed: progress.partitions_streamed,
-            partitions_total: progress.partitions_total,
-            streamed: true,
-            prefetch_depth: self.prefetch,
-            prefetch_hits: progress.prefetch_hits,
-            cache_hit_bytes: self.cache_hit_bytes,
-            recomputed_tables: self.recomputed_tables,
-            evictions_triggered: evictions.len(),
-            quota_evictions: quota_events.iter().map(EvictionEvent::partitions).sum(),
-            plan_cache_hit: self.plan_cache_hit,
-            failed: self.failed,
-        });
+        let progress = self.stream.progress();
+        life.first_row = progress.time_to_first_row;
+        let metrics = &mut life.metrics;
+        metrics.sim_seconds = self.stream.sim_seconds();
+        metrics.rows_streamed = progress.rows_streamed;
+        metrics.partitions_streamed = progress.partitions_streamed;
+        metrics.partitions_total = progress.partitions_total;
+        metrics.prefetch_hits = progress.prefetch_hits;
+        life.close();
     }
 }
 

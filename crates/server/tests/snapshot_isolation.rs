@@ -213,12 +213,20 @@ fn eight_sessions_racing_ddl_against_open_cursors() {
         let session = server.session();
         let barrier = barrier.clone();
         workers.push(std::thread::spawn(move || {
+            // Round 0's cursor is opened on version 0 before the race
+            // starts, so every reader drains at least one cursor across the
+            // writers' concurrent DROP + re-CTAS however the threads are
+            // scheduled.
+            let mut held = Some(session.sql_stream("SELECT k, tag FROM hot"));
             barrier.wait();
             let mut drained_ok = 0usize;
             for round in 0..READER_ROUNDS {
                 // The table vanishes transiently between a DROP and the
                 // next CTAS; a reader that catches that window just retries.
-                let Ok(mut cursor) = session.sql_stream("SELECT k, tag FROM hot") else {
+                let opened = held
+                    .take()
+                    .unwrap_or_else(|| session.sql_stream("SELECT k, tag FROM hot"));
+                let Ok(mut cursor) = opened else {
                     continue;
                 };
                 let rows = cursor.fetch_all().unwrap_or_else(|e| {

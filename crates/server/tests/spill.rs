@@ -3,14 +3,16 @@
 //! streamed / vectorized / row execution paths), promotion-vs-rebuild
 //! accounting, crash-mid-spill recovery (truncated and corrupted frames
 //! fall back to lineage recompute, never a query error), spill-disk-budget
-//! displacement, pin-release on failed or abandoned streams, and
-//! owner-share re-apportionment when sessions close.
+//! displacement, the query-lifecycle grid (every way a blocking or
+//! streamed query can end releases its permit, prefetch grant and pins and
+//! records one `QueryMetrics`), and owner-share re-apportionment when
+//! sessions close.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use shark_common::{row, DataType, Row, Schema};
-use shark_server::{EvictionEvent, ServerConfig, SessionHandle, SharkServer};
+use shark_server::{EvictionEvent, QueryCursor, ServerConfig, SessionHandle, SharkServer};
 use shark_sql::{ExecConfig, TableMeta};
 
 const PARTITIONS: usize = 6;
@@ -442,16 +444,58 @@ fn tight_spill_budget_displaces_frames_and_queries_still_serve() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Pin hygiene (the PR's bug sweep): failed blocking queries, failed
-/// streams, plan errors, and streams abandoned mid-consumption must all
-/// release their table pins — afterwards the table is fully demotable.
+/// What one lifecycle-grid row must leave behind: one new `query_log`
+/// entry for `statement` with these flags, `rejected` more admission
+/// rejections, and a WAL commit before the call returned iff the row ran
+/// DDL.
+struct Expect {
+    statement: &'static str,
+    failed: bool,
+    streamed: bool,
+    rejected: u64,
+    wal_commit: bool,
+}
+
+fn expect(statement: &'static str, failed: bool, streamed: bool) -> Expect {
+    Expect {
+        statement,
+        failed,
+        streamed,
+        rejected: 0,
+        wal_commit: false,
+    }
+}
+
+/// Drain a cursor until it ends or errors; returns whether it errored.
+fn drain_until_error(cursor: &mut QueryCursor<'_>) -> bool {
+    loop {
+        match cursor.next_batch() {
+            Ok(Some(_)) => {}
+            Ok(None) => return false,
+            Err(_) => return true,
+        }
+    }
+}
+
+/// Query-lifecycle hygiene: every way a query can end — blocking or
+/// streamed; succeeded, failed at parse, plan or execution time, dropped
+/// mid-stream, or rejected at admission — leaves the server quiet (no
+/// running query, prefetch grant, table pin or partition pin), records
+/// exactly one `QueryMetrics` with the right flags, and commits DDL to the
+/// WAL before returning. Afterwards the table is fully demotable.
 #[test]
 fn failed_and_abandoned_queries_release_their_pins() {
     let dir = scratch_dir("pins");
-    let server = SharkServer::new(ServerConfig::default().with_spill_dir(&dir));
+    // One admission slot and no queue: an open cursor forces rejections.
+    let server = SharkServer::new(
+        ServerConfig::default()
+            .with_spill_dir(&dir)
+            .with_admission(1, 0),
+    );
     register_mixed(&server, "pins_t");
     server.load_table("pins_t").unwrap();
     let mut session = server.session();
+    session.set_stream_prefetch(2);
     session.register_udf("explode_after_p0", |args| {
         let k = args[0].as_int().unwrap_or(0);
         if k >= ROWS_PER_PARTITION as i64 {
@@ -459,9 +503,161 @@ fn failed_and_abandoned_queries_release_their_pins() {
         }
         args[0].clone()
     });
+    let wal_bytes = || {
+        std::fs::metadata(dir.join("catalog.wal"))
+            .map(|m| m.len())
+            .unwrap_or(0)
+    };
+    // A statement rejected while `holder` keeps the only admission slot:
+    // it must record a rejection and no QueryMetrics.
+    let rejected_while_held = |holder: &'static str, rejected: &dyn Fn() -> bool| {
+        let mut cursor = session.sql_stream(holder).unwrap();
+        assert!(cursor.next_batch().unwrap().is_some());
+        let logged = server.query_log().len();
+        assert!(rejected(), "a full admission queue must reject");
+        assert_eq!(server.query_log().len(), logged);
+        drop(cursor);
+        // The one new log entry is the holder's.
+        Expect {
+            rejected: 1,
+            ..expect(holder, false, true)
+        }
+    };
 
-    // Blocking query whose execution panics on the caller thread — the
-    // exact unwind the RAII pin guard exists for.
+    type GridRow<'a> = (&'static str, Box<dyn Fn() -> Expect + 'a>);
+    let rows: Vec<GridRow<'_>> = vec![
+        (
+            "sql SELECT ok",
+            Box::new(|| {
+                let q = "SELECT k, amount FROM pins_t WHERE k < 100";
+                assert_eq!(session.sql(q).unwrap().result.rows.len(), 100);
+                expect(q, false, false)
+            }),
+        ),
+        (
+            "sql CTAS",
+            Box::new(|| {
+                let q = "CREATE TABLE pins_ctas TBLPROPERTIES(\"shark.cache\" = \"true\") AS \
+                         SELECT k, grp FROM pins_t WHERE k < 200";
+                session.sql(q).unwrap();
+                Expect {
+                    wal_commit: true,
+                    ..expect(q, false, false)
+                }
+            }),
+        ),
+        (
+            "sql DROP",
+            Box::new(|| {
+                let q = "DROP TABLE pins_ctas";
+                session.sql(q).unwrap();
+                Expect {
+                    wal_commit: true,
+                    ..expect(q, false, false)
+                }
+            }),
+        ),
+        (
+            "sql plan error",
+            Box::new(|| {
+                let q = "SELECT no_such_column FROM pins_t";
+                assert!(session.sql(q).is_err());
+                expect(q, true, false)
+            }),
+        ),
+        (
+            "sql parse error",
+            Box::new(|| {
+                let q = "SELEC k FROM pins_t";
+                assert!(session.sql(q).is_err());
+                expect(q, true, false)
+            }),
+        ),
+        (
+            "sql_stream drained",
+            Box::new(|| {
+                let q = "SELECT k FROM pins_t WHERE k >= 100";
+                let rows = session.sql_stream(q).unwrap().fetch_all().unwrap();
+                assert_eq!(rows.len(), PARTITIONS * ROWS_PER_PARTITION - 100);
+                expect(q, false, true)
+            }),
+        ),
+        (
+            "sql_stream dropped mid-stream",
+            Box::new(|| {
+                let q = "SELECT k FROM pins_t";
+                let mut cursor = session.sql_stream(q).unwrap();
+                assert!(cursor.next_batch().unwrap().is_some());
+                expect(q, false, true)
+            }),
+        ),
+        (
+            "sql_stream failing mid-stream",
+            Box::new(|| {
+                // Partition 0 delivers, then the UDF explodes.
+                let q = "SELECT explode_after_p0(k) FROM pins_t";
+                let mut cursor = session.sql_stream(q).unwrap();
+                assert!(
+                    drain_until_error(&mut cursor),
+                    "the exploding UDF must surface mid-stream"
+                );
+                expect(q, true, true)
+            }),
+        ),
+        (
+            "sql_stream plan error",
+            Box::new(|| {
+                // No cursor is ever handed out, so the query is not streamed.
+                let q = "SELECT no_such_column FROM pins_t WHERE k > 1";
+                assert!(session.sql_stream(q).is_err());
+                expect(q, true, false)
+            }),
+        ),
+        (
+            "sql_stream given a non-SELECT",
+            Box::new(|| {
+                let q = "DROP TABLE pins_t";
+                assert!(session.sql_stream(q).is_err());
+                assert!(server.catalog().contains("pins_t"), "must not execute");
+                expect(q, true, false)
+            }),
+        ),
+        (
+            "sql admission rejection",
+            Box::new(|| {
+                rejected_while_held("SELECT k FROM pins_t WHERE k > 10", &|| {
+                    session.sql("SELECT k FROM pins_t").is_err()
+                })
+            }),
+        ),
+        (
+            "sql_stream admission rejection",
+            Box::new(|| {
+                rejected_while_held("SELECT k FROM pins_t WHERE k > 20", &|| {
+                    session.sql_stream("SELECT k FROM pins_t").is_err()
+                })
+            }),
+        ),
+    ];
+
+    let assert_quiet = |name: &str| {
+        assert_eq!(server.running_queries(), 0, "{name}: permit leaked");
+        assert_eq!(server.prefetch_in_use(), 0, "{name}: prefetch leaked");
+        assert!(
+            server.pinned_tables().is_empty(),
+            "{name}: leaked table pins {:?}",
+            server.pinned_tables()
+        );
+        for table in ["pins_t", "pins_ctas"] {
+            assert!(
+                server.pinned_partitions(table).is_empty(),
+                "{name}: leaked partition pins on {table}"
+            );
+        }
+    };
+
+    // Blocking query whose execution panics on the caller thread: the
+    // unwind itself must release everything the query held.
     let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         session.sql("SELECT explode_after_p0(k) FROM pins_t")
     }));
@@ -469,53 +665,36 @@ fn failed_and_abandoned_queries_release_their_pins() {
         panicked.is_err() || panicked.is_ok_and(|r| r.is_err()),
         "the exploding UDF must fail the blocking query"
     );
-    assert!(
-        server.pinned_tables().is_empty(),
-        "failed blocking query leaked pins: {:?}",
-        server.pinned_tables()
-    );
+    assert_quiet("sql panicking mid-execution");
 
-    // Stream that errors mid-consumption: partition 0 delivers, then the
-    // UDF explodes. Drain until the error, then drop the cursor.
-    {
-        let mut stream = session
-            .sql_stream("SELECT explode_after_p0(k) FROM pins_t")
-            .unwrap();
-        let mut saw_error = false;
-        loop {
-            match stream.next_batch() {
-                Ok(Some(_)) => {}
-                Ok(None) => break,
-                Err(_) => {
-                    saw_error = true;
-                    break;
-                }
-            }
-        }
-        assert!(saw_error, "the exploding UDF must surface mid-stream");
+    for (name, row) in &rows {
+        let logged = server.query_log().len();
+        // `report()` commits pending journals, so the WAL size read after
+        // it moves only with what the row itself commits.
+        let rejected = server.report().rejected_queries;
+        let wal_before = wal_bytes();
+        let want = row();
+        let wal_after = wal_bytes();
+        assert_quiet(name);
+        let log = server.query_log();
+        assert_eq!(log.len(), logged + 1, "{name}: one QueryMetrics per query");
+        let entry = log.last().unwrap();
+        assert_eq!(
+            (entry.statement.as_str(), entry.failed, entry.streamed),
+            (want.statement, want.failed, want.streamed),
+            "{name}: logged entry"
+        );
+        assert_eq!(
+            server.report().rejected_queries,
+            rejected + want.rejected,
+            "{name}: rejections"
+        );
+        assert_eq!(
+            wal_after > wal_before,
+            want.wal_commit,
+            "{name}: WAL commit"
+        );
     }
-    assert!(
-        server.pinned_tables().is_empty(),
-        "failed stream leaked pins: {:?}",
-        server.pinned_tables()
-    );
-
-    // Plan error after parse (unknown column) — the pre-cursor window.
-    assert!(session
-        .sql_stream("SELECT no_such_column FROM pins_t")
-        .is_err());
-    assert!(server.pinned_tables().is_empty());
-
-    // Stream abandoned after one batch.
-    {
-        let mut stream = session.sql_stream("SELECT k FROM pins_t").unwrap();
-        assert!(stream.next_batch().unwrap().is_some());
-    }
-    assert!(
-        server.pinned_tables().is_empty(),
-        "abandoned stream leaked pins: {:?}",
-        server.pinned_tables()
-    );
 
     // With every pin released the table is fully demotable.
     let events = server.demote_table("pins_t");
