@@ -150,9 +150,10 @@ fn bench_server(c: &mut Criterion) {
         b.iter(|| paced_drain(&prefetch_session))
     });
 
-    // Top-k pushdown: ORDER BY + LIMIT through per-partition bounded heaps
+    // Top-k pushdown: ORDER BY + LIMIT streamed through per-partition top-k
     // and statistics-ordered partitions (l_orderkey increases with the
-    // partition index) vs. the batch path's full sort of the whole result.
+    // partition index) vs. the batch path, which runs every partition's
+    // top-k and merges the survivors on the driver.
     g.bench_function("stream_topk_order_by_limit", |b| {
         b.iter(|| {
             let rows = stream_session

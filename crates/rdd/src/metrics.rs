@@ -25,6 +25,15 @@ pub struct TaskMetrics {
     /// Where the task's input came from (set by the source/shuffle readers;
     /// the "most expensive" source observed wins).
     pub input_source: InputSource,
+    /// Rows a late-materializing scan selected but never built, because a
+    /// per-partition top-k proved they cannot reach the result. The
+    /// operators downstream of the scan charge them as if they had been
+    /// built: narrow operators' per-row ops, the task's output rows, and
+    /// the streamed top-k's sort.
+    pub skipped_rows: u64,
+    /// Estimated serialized size of those rows' output columns (what
+    /// `estimate_slice` would report for them had they been built).
+    pub skipped_bytes: u64,
 }
 
 impl Default for TaskMetrics {
@@ -37,6 +46,8 @@ impl Default for TaskMetrics {
             ops: 0.0,
             sort_rows: 0,
             input_source: InputSource::Local,
+            skipped_rows: 0,
+            skipped_bytes: 0,
         }
     }
 }
@@ -86,6 +97,13 @@ impl TaskMetrics {
         self.sort_rows += rows;
     }
 
+    /// Record `rows` rows (of `bytes` estimated output bytes) that a
+    /// late-materializing scan selected but skipped building.
+    pub fn record_skipped(&mut self, rows: u64, bytes: u64) {
+        self.skipped_rows += rows;
+        self.skipped_bytes += bytes;
+    }
+
     /// Merge metrics from a nested computation (e.g. recomputing a parent
     /// partition that was not cached).
     pub fn merge(&mut self, other: &TaskMetrics) {
@@ -93,6 +111,8 @@ impl TaskMetrics {
         self.bytes_in += other.bytes_in;
         self.ops += other.ops;
         self.sort_rows += other.sort_rows;
+        self.skipped_rows += other.skipped_rows;
+        self.skipped_bytes += other.skipped_bytes;
         if source_rank(other.input_source) > source_rank(self.input_source) {
             self.input_source = other.input_source;
         }

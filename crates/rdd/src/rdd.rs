@@ -463,7 +463,10 @@ impl<T: Data, U: Data> RddImpl<U> for MapPartitionsRdd<T, U> {
         metrics: &mut TaskMetrics,
     ) -> Result<Vec<U>> {
         let input = self.parent.compute_partition(ctx, partition, metrics)?;
-        metrics.add_ops(input.len() as f64 * self.ops_per_row);
+        // Rows a late-materializing scan skipped are charged as if this
+        // operator had processed them (see `TaskMetrics::skipped_rows`).
+        let charged = input.len() as u64 + metrics.skipped_rows;
+        metrics.add_ops(charged as f64 * self.ops_per_row);
         Ok((self.f)(partition, input))
     }
     fn parents(&self) -> Vec<Arc<dyn Lineage>> {

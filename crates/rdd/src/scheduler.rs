@@ -174,6 +174,26 @@ where
     U: Send + EstimateSize,
     F: Fn(Vec<T>) -> U + Send + Sync,
 {
+    run_job_with_metrics(ctx, rdd, name, sink, |data, _| f(data))
+}
+
+/// [`run_job`] whose per-partition function also sees the task's metrics,
+/// so it can charge extra work (or read what upstream operators recorded)
+/// before the task is priced. The task's output is charged as the rows
+/// handed to `f` plus any rows a late-materializing scan skipped, and the
+/// estimated size of the value `f` returns.
+pub fn run_job_with_metrics<T, U, F>(
+    ctx: &RddContext,
+    rdd: &Rdd<T>,
+    name: &str,
+    sink: OutputSink,
+    f: F,
+) -> Result<Vec<U>>
+where
+    T: Data,
+    U: Send + EstimateSize,
+    F: Fn(Vec<T>, &mut TaskMetrics) -> U + Send + Sync,
+{
     let wall = Instant::now();
     let mut stages = ensure_shuffle_deps(ctx, rdd)?;
     let scale = ctx.config().sim_scale;
@@ -183,8 +203,8 @@ where
         |partition| {
             let mut metrics = TaskMetrics::new();
             let data = rdd.compute_partition(ctx, partition, &mut metrics)?;
-            let rows = data.len() as u64;
-            let value = f(data);
+            let rows = data.len() as u64 + metrics.skipped_rows;
+            let value = f(data, &mut metrics);
             metrics.record_output(rows, value.estimated_size() as u64);
             let cost = metrics.to_cost_input(scale, sink);
             let duration = ctx.cost_model().task_duration(&cost);
@@ -399,7 +419,7 @@ where
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut metrics = TaskMetrics::new();
         let data = rdd.compute_partition(ctx, partition, &mut metrics)?;
-        let rows = data.len() as u64;
+        let rows = data.len() as u64 + metrics.skipped_rows;
         let value = f(data, &mut metrics);
         metrics.record_output(rows, value.estimated_size() as u64);
         let cost = metrics.to_cost_input(scale, sink);
@@ -434,6 +454,12 @@ struct PrefetchState<U> {
     /// waits for this to reach zero, so cancellation-on-drop always drains
     /// in-flight work before the job report is recorded.
     in_flight: usize,
+    /// Submitted morsels that still hold the job's [`PumpEnv`] — and with it
+    /// the pipeline and every shuffle it reads. A morsel finishes its
+    /// position (`in_flight`) before it lets go of the pipeline, so
+    /// [`PipelinedJob::finish`] waits for this too: once it returns, the
+    /// job's shuffles are freed as soon as the job itself is dropped.
+    morsels: usize,
     /// No new positions may be claimed (consumer dropped/stopped or a task
     /// failed). Claimed in-flight morsels still park their result.
     cancelled: bool,
@@ -493,28 +519,35 @@ fn pump<T: Data, U: Send + EstimateSize + 'static>(env: &Arc<PumpEnv<T, U>>) {
             let pos = state.next_claim;
             state.next_claim += 1;
             state.in_flight += 1;
+            state.morsels += 1;
             pos
         };
         let env = env.clone();
         Executor::global().spawn(move || {
-            let _trace = env.trace.as_ref().map(|t| t.attach());
-            let partition = env.order[pos];
-            let f = env.f.clone();
-            let outcome = execute_partition_task(&env.ctx, &env.rdd, partition, env.sink, {
-                move |rows, m| f(rows, m)
-            });
+            let shared = env.shared.clone();
             {
-                let mut state = env.shared.lock();
-                state.in_flight -= 1;
-                if outcome.is_err() {
-                    // Delivery is ordered, so this error will surface at or
-                    // before `pos`; work beyond it would be wasted.
-                    state.cancelled = true;
+                let _trace = env.trace.as_ref().map(|t| t.attach());
+                let partition = env.order[pos];
+                let f = env.f.clone();
+                let outcome = execute_partition_task(&env.ctx, &env.rdd, partition, env.sink, {
+                    move |rows, m| f(rows, m)
+                });
+                {
+                    let mut state = shared.lock();
+                    state.in_flight -= 1;
+                    if outcome.is_err() {
+                        // Delivery is ordered, so this error will surface at
+                        // or before `pos`; work beyond it would be wasted.
+                        state.cancelled = true;
+                    }
+                    state.ready.insert(pos, outcome);
+                    shared.changed.notify_all();
                 }
-                state.ready.insert(pos, outcome);
-                env.shared.changed.notify_all();
+                pump(&env);
             }
-            pump(&env);
+            drop(env);
+            shared.lock().morsels -= 1;
+            shared.changed.notify_all();
         });
     }
 }
@@ -677,7 +710,7 @@ impl<T: Data, U: Send + EstimateSize + 'static> PipelinedJob<T, U> {
             // so nothing of this job runs after finish() returns (callers
             // release resources — e.g. pinned partitions — right after).
             let mut state = pool.lock();
-            while state.in_flight > 0 {
+            while state.in_flight > 0 || state.morsels > 0 {
                 state = pool.changed.wait(state).unwrap_or_else(|e| e.into_inner());
             }
         }
@@ -695,6 +728,7 @@ impl<T: Data, U: Send + EstimateSize + 'static> PipelinedJob<T, U> {
                 deliver_pos: 0,
                 ready: std::collections::HashMap::new(),
                 in_flight: 0,
+                morsels: 0,
                 cancelled: false,
             }),
             changed: std::sync::Condvar::new(),

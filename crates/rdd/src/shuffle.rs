@@ -19,6 +19,8 @@ use shark_common::hash::FxHashMap;
 use shark_common::sketch::LogSize;
 use shark_common::{Result, SharkError};
 
+use crate::context::RddContext;
+
 /// Statistics for one map task's output, bucketed by reduce partition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MapOutputStats {
@@ -87,6 +89,31 @@ struct ShuffleEntry {
     /// Per map task: `Arc<Vec<Vec<T>>>` (outer = reduce bucket).
     outputs: Vec<Option<Arc<dyn Any + Send + Sync>>>,
     stats: Vec<Option<MapOutputStats>>,
+}
+
+/// Ownership of one shuffle id: its map output stays registered exactly as
+/// long as something that can read it holds the guard (the shuffle
+/// dependency, a [`crate::PreShuffledRdd`] and the readers built from it),
+/// and is removed from the [`ShuffleManager`] when the last holder drops.
+pub(crate) struct ShuffleGuard {
+    ctx: RddContext,
+    pub(crate) id: usize,
+}
+
+impl ShuffleGuard {
+    /// Allocate a fresh shuffle id owned by the returned guard.
+    pub(crate) fn new(ctx: &RddContext) -> Arc<ShuffleGuard> {
+        Arc::new(ShuffleGuard {
+            ctx: ctx.clone(),
+            id: ctx.next_shuffle_id(),
+        })
+    }
+}
+
+impl Drop for ShuffleGuard {
+    fn drop(&mut self) {
+        self.ctx.shuffle_manager().remove(self.id);
+    }
 }
 
 /// Stores map output buckets and statistics for every shuffle in flight.
@@ -221,6 +248,11 @@ impl ShuffleManager {
             total_bytes,
             total_rows,
         })
+    }
+
+    /// Number of shuffles currently registered (map output held in memory).
+    pub fn num_registered(&self) -> usize {
+        self.shuffles.read().len()
     }
 
     /// Remove a shuffle's data (e.g. after the consuming job finishes).

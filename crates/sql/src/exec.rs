@@ -21,15 +21,16 @@ use std::time::{Duration, Instant};
 use shark_cluster::{DfsModel, OutputSink};
 use shark_columnar::ColumnarPartition;
 use shark_common::size::estimate_slice;
-use shark_common::{Result, Row, Schema, SharkError, Value};
-use shark_rdd::{Aggregator, PipelinedJob, Rdd, RddContext, StreamingJob, TaskMetrics};
+use shark_common::{EstimateSize, Result, Row, Schema, SharkError, Value};
+use shark_rdd::scheduler::run_job_with_metrics;
+use shark_rdd::{Aggregator, PipelinedJob, Rdd, RddContext, StreamingJob};
 
 use crate::aggregate::{AggExpr, AggStates};
 use crate::catalog::{CatalogSnapshot, TableMeta};
 use crate::expr::BoundExpr;
 use crate::pde::{choose_join_strategy, coalesce_buckets, JoinStrategy};
 use crate::plan::{AggregateNode, OutputRef, QueryPlan, ScanNode};
-use crate::scan::{prune_partitions, DfsScanRdd, MemAggScanRdd, MemTableScanRdd};
+use crate::scan::{prune_partitions, DfsScanRdd, MemAggScanRdd, MemTableScanRdd, ScanTopK};
 
 /// Which engine the executor should emulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -268,22 +269,68 @@ pub fn load_table(ctx: &RddContext, table: &Arc<TableMeta>) -> Result<LoadReport
     })
 }
 
+/// One result task's stable top-k, sized for the cost model as the whole
+/// partition it would have shipped to a driver-side sort: pushing top-k
+/// into tasks saves real work, not simulated bytes.
+struct ShippedTopK {
+    rows: Vec<Row>,
+    shipped_bytes: usize,
+}
+
+impl EstimateSize for ShippedTopK {
+    fn estimated_size(&self) -> usize {
+        self.shipped_bytes
+    }
+}
+
 /// Execute a plan fully: run the pipeline, collect, sort and limit.
+///
+/// With ORDER BY and LIMIT `k`, each result task keeps only its stable
+/// top-k and the driver sorts the at most `k` survivors per partition — the
+/// same rows, in the same order, as sorting everything on the driver. When
+/// the pipeline is one vectorized memstore scan over plain columns, the
+/// scan builds only those `k` rows per partition.
 pub fn execute(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> Result<QueryResult> {
     let wall = std::time::Instant::now();
     let sim_start = ctx.simulated_time();
     let table_rdd = {
         let _span = shark_obs::span("optimize");
-        build_pipeline(ctx, plan, cfg)?
+        build_pipeline_with(ctx, plan, cfg, true)?
     };
     let rows_span = shark_obs::span("stage-launch");
-    let mut rows = table_rdd.rdd.collect()?;
+    let mut rows = match plan.limit.filter(|_| !plan.order_by.is_empty()) {
+        Some(k) => {
+            let keys = plan.order_by.clone();
+            let parts = run_job_with_metrics(
+                ctx,
+                &table_rdd.rdd,
+                "collect",
+                OutputSink::Collect,
+                move |rows: Vec<Row>, m| {
+                    let span = shark_obs::span("top-k");
+                    let shipped_bytes = rows.estimated_size() + m.skipped_bytes as usize;
+                    let rows = topk_rows(rows, k, &keys);
+                    if let Some(span) = &span {
+                        span.set_rows(rows.len() as u64);
+                        span.annotate("k", &k.to_string());
+                    }
+                    ShippedTopK {
+                        rows,
+                        shipped_bytes,
+                    }
+                },
+            )?;
+            parts.into_iter().flat_map(|part| part.rows).collect()
+        }
+        None => table_rdd.rdd.collect()?,
+    };
     if let Some(span) = &rows_span {
         span.set_rows(rows.len() as u64);
     }
     drop(rows_span);
 
-    // Driver-side ORDER BY / LIMIT (result sets at this point are small).
+    // Driver-side ORDER BY / LIMIT: a stable sort, so ties keep partition
+    // order exactly as a sort of the whole result would.
     if !plan.order_by.is_empty() {
         let _span = shark_obs::span("sort-merge");
         let keys = plan.order_by.clone();
@@ -338,9 +385,9 @@ pub struct StreamProgress {
 ///   the sorted runs, emitting batches of at most `batch_size` rows; LIMIT
 ///   stops the merge after the first `k` rows.
 /// * With ORDER BY **and** LIMIT `k` — top-k pushdown: each partition task
-///   keeps only its `k` best rows in a bounded buffer instead of sorting
-///   everything, and when the scan's partition statistics cover the sort
-///   key, partitions execute best-bound first and the stream stops
+///   keeps only its `k` best rows instead of sorting everything, and when
+///   the scan's partition statistics cover the sort key, partitions
+///   execute best-bound first and the stream stops
 ///   launching partitions once `k` delivered rows provably beat every
 ///   unexecuted partition's bound.
 ///
@@ -739,27 +786,33 @@ impl QueryStream {
 }
 
 /// Keep only the `k` first rows of `rows` under the stable ordering given by
-/// `keys`, using a bounded buffer of at most `2k` rows (the per-partition
-/// heap of top-k pushdown). Produces exactly the first `k` rows a full
-/// stable sort would.
-fn topk_rows(rows: Vec<Row>, k: usize, keys: &[(usize, bool)], m: &mut TaskMetrics) -> Vec<Row> {
+/// `keys`: exactly the first `k` rows a full stable sort would produce, in
+/// that order. A linear-time selection on (keys, input position) — the
+/// position makes the order total, so ties resolve as the stable sort's —
+/// followed by a sort of the `k` survivors.
+fn topk_rows(rows: Vec<Row>, k: usize, keys: &[(usize, bool)]) -> Vec<Row> {
+    let mut tagged: Vec<(usize, Row)> = rows.into_iter().enumerate().collect();
+    let order =
+        |a: &(usize, Row), b: &(usize, Row)| compare_rows(&a.1, &b.1, keys).then(a.0.cmp(&b.0));
+    if k < tagged.len() {
+        tagged.select_nth_unstable_by(k, order);
+        tagged.truncate(k);
+    }
+    tagged.sort_unstable_by(order);
+    tagged.into_iter().map(|(_, row)| row).collect()
+}
+
+/// Rows the streamed per-partition top-k is charged for sorting over `n`
+/// input rows, as the cost model prices a bounded `2k`-row buffer: it sorts
+/// `2k` rows at the first flush and every `k` rows after, then sorts what
+/// is left — `n + k·max(0, ⌊n/k⌋ − 1)` in closed form. Charged on every
+/// row the task's pipeline produced, including rows a late-materializing
+/// scan never built.
+fn topk_sort_rows(n: u64, k: u64) -> u64 {
     if k == 0 {
-        return Vec::new();
+        return 0;
     }
-    let cap = 2 * k;
-    let mut buf: Vec<Row> = Vec::with_capacity(cap.min(rows.len()));
-    for row in rows {
-        buf.push(row);
-        if buf.len() >= cap {
-            m.add_sort(buf.len() as u64);
-            buf.sort_by(|a, b| compare_rows(a, b, keys));
-            buf.truncate(k);
-        }
-    }
-    m.add_sort(buf.len() as u64);
-    buf.sort_by(|a, b| compare_rows(a, b, keys));
-    buf.truncate(k);
-    buf
+    n + k * (n / k).saturating_sub(1)
 }
 
 /// Plan a statistics-driven execution order for a top-k stream over a
@@ -821,7 +874,7 @@ pub fn execute_stream(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> R
     let wall = Instant::now();
     let table_rdd = {
         let _span = shark_obs::span("optimize");
-        build_pipeline(ctx, plan, cfg)?
+        build_pipeline_with(ctx, plan, cfg, true)?
     };
     let mut notes = table_rdd.notes;
     notes.push("result streaming: partitions delivered incrementally".into());
@@ -845,7 +898,7 @@ pub fn execute_stream(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> R
         .and_then(|info| topk_partition_order(plan, info))
     {
         notes.push(format!(
-            "top-k pushdown: per-partition bounded heaps (k={}), partitions ordered by statistics",
+            "top-k pushdown: per-partition top-k (k={}), partitions ordered by statistics",
             limit.unwrap_or(0)
         ));
         order = planned;
@@ -853,7 +906,7 @@ pub fn execute_stream(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> R
     } else {
         if limit.is_some() {
             notes.push(format!(
-                "top-k pushdown: per-partition bounded heaps (k={})",
+                "top-k pushdown: per-partition top-k (k={})",
                 limit.unwrap_or(0)
             ));
         }
@@ -867,7 +920,8 @@ pub fn execute_stream(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> R
         match limit {
             Some(k) => {
                 let span = shark_obs::span("top-k");
-                let out = topk_rows(rows, k, &task_keys, m);
+                m.add_sort(topk_sort_rows(rows.len() as u64 + m.skipped_rows, k as u64));
+                let out = topk_rows(rows, k, &task_keys);
                 if let Some(span) = &span {
                     span.set_rows(out.len() as u64);
                     span.annotate("k", &k.to_string());
@@ -919,6 +973,50 @@ pub fn execute_stream(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> R
 /// path). ORDER BY and LIMIT-with-ORDER-BY are not applied; per-partition
 /// LIMIT pushdown is.
 pub fn build_pipeline(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> Result<TableRdd> {
+    build_pipeline_with(ctx, plan, cfg, false)
+}
+
+/// The late-materialization hint for a top-k plan: `Some` when the whole
+/// pipeline is one narrow vectorized scan feeding `ORDER BY … LIMIT k` and
+/// both the sort keys and the output projections are plain column
+/// references (so the scan can pick each partition's top-k on the key
+/// columns alone and size the rows it skips from the encodings).
+fn late_topk_hint(plan: &QueryPlan, cfg: &ExecConfig) -> Option<ScanTopK> {
+    let k = plan.limit?;
+    if plan.order_by.is_empty()
+        || !cfg.vectorized
+        || plan.scans.len() != 1
+        || !plan.joins.is_empty()
+        || plan.aggregate.is_some()
+        || plan.residual_filter.is_some()
+    {
+        return None;
+    }
+    let output = plan
+        .projections
+        .iter()
+        .map(|p| match p {
+            BoundExpr::Column(c) => Some(*c),
+            _ => None,
+        })
+        .collect::<Option<Vec<usize>>>()?;
+    let keys = plan
+        .order_by
+        .iter()
+        .map(|&(col, desc)| Some((*output.get(col)?, desc)))
+        .collect::<Option<Vec<_>>>()?;
+    Some(ScanTopK { keys, k, output })
+}
+
+/// [`build_pipeline`], optionally letting the scan apply the plan's
+/// per-partition top-k before building rows (only for callers that apply
+/// ORDER BY … LIMIT themselves: [`execute`] and [`execute_stream`]).
+fn build_pipeline_with(
+    ctx: &RddContext,
+    plan: &QueryPlan,
+    cfg: &ExecConfig,
+    late_topk: bool,
+) -> Result<TableRdd> {
     let mut notes = Vec::new();
 
     // ----- fused vectorized scan + partial aggregate ----------------------------
@@ -939,8 +1037,9 @@ pub fn build_pipeline(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> R
     let mut scan_rdds: Vec<Rdd<Row>> = Vec::new();
     let mut scan_all_partitions: Vec<bool> = Vec::new();
     let mut scan_infos: Vec<Option<SingleScanInfo>> = Vec::new();
+    let mut top_k = late_topk.then(|| late_topk_hint(plan, cfg)).flatten();
     for scan in &plan.scans {
-        let (rdd, full, info) = build_scan(ctx, scan, cfg, &mut notes)?;
+        let (rdd, full, info) = build_scan(ctx, scan, cfg, top_k.take(), &mut notes)?;
         scan_rdds.push(rdd);
         scan_all_partitions.push(full);
         scan_infos.push(info);
@@ -1016,11 +1115,13 @@ pub fn build_pipeline(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> R
 
 /// Build a scan RDD; returns the RDD, whether it covers every partition of
 /// the table (needed for the co-partitioned join fast path), and — for
-/// memstore scans — the scan identity top-k pushdown needs.
+/// memstore scans — the scan identity top-k pushdown needs. A memstore scan
+/// given a `top_k` hint builds only each partition's top-k rows.
 fn build_scan(
     ctx: &RddContext,
     scan: &ScanNode,
     cfg: &ExecConfig,
+    top_k: Option<ScanTopK>,
     notes: &mut Vec<String>,
 ) -> Result<(Rdd<Row>, bool, Option<SingleScanInfo>)> {
     let use_memstore = matches!(
@@ -1041,14 +1142,30 @@ fn build_scan(
             ));
         }
         let full = selected.len() == scan.table.num_partitions;
-        let rdd = MemTableScanRdd::create(
-            ctx,
-            scan.table.clone(),
-            selected.clone(),
-            scan.projection.clone(),
-            scan.filters.clone(),
-            cfg.vectorized,
-        )?;
+        let rdd = match top_k {
+            Some(top_k) => {
+                notes.push(format!(
+                    "vectorized: late-materialized top-k (k={}) in the memstore scan",
+                    top_k.k
+                ));
+                MemTableScanRdd::create_top_k(
+                    ctx,
+                    scan.table.clone(),
+                    selected.clone(),
+                    scan.projection.clone(),
+                    scan.filters.clone(),
+                    top_k,
+                )?
+            }
+            None => MemTableScanRdd::create(
+                ctx,
+                scan.table.clone(),
+                selected.clone(),
+                scan.projection.clone(),
+                scan.filters.clone(),
+                cfg.vectorized,
+            )?,
+        };
         let info = SingleScanInfo {
             table: scan.table.clone(),
             selected,
@@ -1525,4 +1642,53 @@ fn finish_aggregation(
             out
         }),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn topk_rows_is_the_prefix_of_a_stable_sort() {
+        // Few distinct keys, so ties span the whole input.
+        let rows: Vec<Row> = (0..97i64)
+            .map(|i| Row::new(vec![Value::Int(i % 5), Value::Int(i % 3), Value::Int(i)]))
+            .collect();
+        for keys in [
+            vec![(0, false)],
+            vec![(1, true), (0, false)],
+            vec![(2, true)],
+        ] {
+            let mut sorted = rows.clone();
+            sorted.sort_by(|a, b| compare_rows(a, b, &keys));
+            for k in [0, 1, 4, 5, 96, 97, 200] {
+                let expected: Vec<Row> = sorted.iter().take(k).cloned().collect();
+                assert_eq!(topk_rows(rows.clone(), k, &keys), expected, "k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn topk_sort_charge_matches_the_buffer_flush_pattern() {
+        // Replay the 2k-buffer's flushes and sum the rows each sort sees.
+        fn replayed(n: u64, k: u64) -> u64 {
+            if k == 0 {
+                return 0;
+            }
+            let (mut sorted, mut buffered) = (0, 0);
+            for _ in 0..n {
+                buffered += 1;
+                if buffered >= 2 * k {
+                    sorted += buffered;
+                    buffered = k;
+                }
+            }
+            sorted + buffered
+        }
+        for k in 0..12 {
+            for n in 0..100 {
+                assert_eq!(topk_sort_rows(n, k), replayed(n, k), "n={n} k={k}");
+            }
+        }
+    }
 }

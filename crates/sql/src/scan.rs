@@ -157,6 +157,39 @@ fn apply_kernels(
     }
 }
 
+/// A per-partition top-k the vectorized memstore scan applies before
+/// building rows (late materialization). Set only when the whole query is
+/// `scan → project → ORDER BY … LIMIT k` and both the sort keys and the
+/// output projections are plain column references, so the rows the scan
+/// drops are exactly rows the per-partition top-k would drop.
+#[derive(Debug, Clone)]
+pub(crate) struct ScanTopK {
+    /// Sort keys as (projected scan column, descending).
+    pub(crate) keys: Vec<(usize, bool)>,
+    /// Rows each partition keeps.
+    pub(crate) k: usize,
+    /// Projected scan column behind each output column, in output order:
+    /// sizes the skipped rows as the output rows they would have become.
+    pub(crate) output: Vec<usize>,
+}
+
+/// Narrow `batch` to its stable top-k and record the rows left unbuilt —
+/// with the bytes their output rows would have had — so downstream charges
+/// still count them.
+fn narrow_to_top_k(batch: &mut ColumnBatch<'_>, top: &ScanTopK, metrics: &mut TaskMetrics) {
+    let selected = batch.num_selected();
+    if top.k >= selected {
+        return;
+    }
+    let before = batch.estimated_row_bytes(&top.output);
+    batch.retain_top_k(&top.keys, top.k);
+    let skipped_bytes = before - batch.estimated_row_bytes(&top.output);
+    metrics.record_skipped((selected - batch.num_selected()) as u64, skipped_bytes);
+    if shark_obs::active() {
+        shark_obs::annotate("late-topk", &format!("kept={}", batch.num_selected()));
+    }
+}
+
 /// Scan of a cached, columnar table (the Shark memstore path).
 pub struct MemTableScanRdd {
     id: usize,
@@ -172,6 +205,8 @@ pub struct MemTableScanRdd {
     /// Batch-at-a-time execution over the compressed encodings (late
     /// materialization); false falls back to decode-then-filter rows.
     vectorized: bool,
+    /// Per-partition top-k applied before rows are built (vectorized only).
+    top_k: Option<ScanTopK>,
 }
 
 impl MemTableScanRdd {
@@ -183,6 +218,31 @@ impl MemTableScanRdd {
         projection: Vec<usize>,
         filters: Vec<BoundExpr>,
         vectorized: bool,
+    ) -> Result<Rdd<Row>> {
+        Self::build(ctx, table, selected, projection, filters, vectorized, None)
+    }
+
+    /// Build a vectorized memstore scan that keeps only each partition's
+    /// stable top-k rows, building `Row`s for those alone.
+    pub(crate) fn create_top_k(
+        ctx: &RddContext,
+        table: Arc<TableMeta>,
+        selected: Vec<usize>,
+        projection: Vec<usize>,
+        filters: Vec<BoundExpr>,
+        top_k: ScanTopK,
+    ) -> Result<Rdd<Row>> {
+        Self::build(ctx, table, selected, projection, filters, true, Some(top_k))
+    }
+
+    fn build(
+        ctx: &RddContext,
+        table: Arc<TableMeta>,
+        selected: Vec<usize>,
+        projection: Vec<usize>,
+        filters: Vec<BoundExpr>,
+        vectorized: bool,
+        top_k: Option<ScanTopK>,
     ) -> Result<Rdd<Row>> {
         let mem = table.cached.clone().ok_or_else(|| {
             shark_common::SharkError::Plan(format!("table '{}' is not cached", table.name))
@@ -197,6 +257,7 @@ impl MemTableScanRdd {
             filters: Arc::new(filters),
             kernels: Arc::new(kernels),
             vectorized,
+            top_k,
         };
         Ok(Rdd::new(ctx.clone(), Arc::new(inner)))
     }
@@ -225,6 +286,9 @@ impl RddImpl<Row> for MemTableScanRdd {
             // compressed encodings; rows are built only for survivors.
             let mut batch = ColumnBatch::new(&columnar, &self.projection);
             apply_kernels(&mut batch, &self.filters, &self.kernels, metrics);
+            if let Some(top) = &self.top_k {
+                narrow_to_top_k(&mut batch, top, metrics);
+            }
             Ok(batch.materialize())
         } else {
             let mut rows = columnar.project_rows(&self.projection);
@@ -637,6 +701,53 @@ mod tests {
                 outputs.push(rdd.collect().unwrap());
             }
             assert_eq!(outputs[0], outputs[1], "{pred}");
+        }
+    }
+
+    #[test]
+    fn top_k_scan_builds_k_rows_and_records_the_rest_as_skipped() {
+        let ctx = RddContext::local();
+        let meta = Arc::new(table());
+        load(&meta);
+        let projection = vec![2usize, 1, 0];
+        let projected = meta.schema.project(&projection);
+        let filters = vec![bind_filter("metric > 3.0", &projected)];
+        // ORDER BY metric DESC LIMIT 4, output (day, metric).
+        let top = ScanTopK {
+            keys: vec![(0, true)],
+            k: 4,
+            output: vec![2, 0],
+        };
+        let all: Vec<usize> = (0..meta.num_partitions).collect();
+        let late = MemTableScanRdd::create_top_k(
+            &ctx,
+            meta.clone(),
+            all.clone(),
+            projection.clone(),
+            filters.clone(),
+            top.clone(),
+        )
+        .unwrap();
+        let rows = MemTableScanRdd::create(&ctx, meta, all, projection, filters, false).unwrap();
+        for p in 0..late.num_partitions() {
+            let mut m = TaskMetrics::new();
+            let built = late.compute_partition(&ctx, p, &mut m).unwrap();
+            let full = rows
+                .compute_partition(&ctx, p, &mut TaskMetrics::new())
+                .unwrap();
+            // Reference: stable sort by metric DESC, first k, row order.
+            let mut order: Vec<usize> = (0..full.len()).collect();
+            order.sort_by(|&a, &b| full[b].get(0).total_cmp(full[a].get(0)));
+            let mut kept = order[..top.k].to_vec();
+            kept.sort_unstable();
+            let expected: Vec<Row> = kept.iter().map(|&i| full[i].clone()).collect();
+            assert_eq!(built, expected, "partition {p}");
+            let skipped: Vec<Row> = (0..full.len())
+                .filter(|i| !kept.contains(i))
+                .map(|i| full[i].project(&top.output))
+                .collect();
+            assert_eq!(m.skipped_rows, skipped.len() as u64);
+            assert_eq!(m.skipped_bytes, estimate_slice(&skipped) as u64);
         }
     }
 

@@ -12,7 +12,7 @@
 //! per-query time-to-first-row. Streaming cursors prefetch: a bounded
 //! worker pool (capped by the server's aggregate prefetch budget) executes
 //! partitions ahead of the consumer, and ORDER BY + LIMIT queries use
-//! top-k pushdown — per-partition bounded heaps plus statistics-ordered
+//! top-k pushdown — per-partition top-k plus statistics-ordered
 //! partition launches.
 //!
 //! Run with: `cargo run --release -p shark-examples --example server_concurrent`
