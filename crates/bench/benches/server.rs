@@ -175,10 +175,11 @@ fn bench_server(c: &mut Criterion) {
 
     g.finish();
 
-    // Publish whatever the run pushed into the unified metrics registry
-    // (query counters, admission-wait/exec histograms, scan cache hits) as
-    // a Prometheus text snapshot, when SHARK_METRICS_SNAPSHOT names a file.
-    shark_bench::dump_metrics_snapshot();
+    // Publish the traced server's registry (query counters, admission-wait/
+    // exec histograms) followed by the process-wide families (scan cache
+    // hits, stage rows) as a Prometheus text snapshot, when
+    // SHARK_METRICS_SNAPSHOT names a file.
+    shark_bench::dump_metrics_snapshot(&single);
 }
 
 criterion_group!(benches, bench_server);

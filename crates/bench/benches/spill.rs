@@ -67,7 +67,7 @@ fn bench_spill(c: &mut Criterion) {
     });
 
     g.finish();
-    shark_bench::dump_metrics_snapshot();
+    shark_bench::dump_metrics_snapshot(&server);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -56,15 +56,16 @@ pub fn warehouse(cfg: WarehouseConfig) -> WarehouseConfig {
     }
 }
 
-/// Dump the process-wide [`shark_obs::metrics()`] registry in Prometheus
-/// text format to the file named by `SHARK_METRICS_SNAPSHOT`, if that
-/// variable is set. Called at the end of a benchmark run so CI can upload
-/// the counters/histograms the run produced as an artifact. Best-effort:
-/// an unwritable path is ignored rather than failing the bench.
-pub fn dump_metrics_snapshot() {
+/// Dump `server`'s Prometheus exposition (its own serving-layer families,
+/// then the process-wide [`shark_obs::metrics()`] ones) to the file named
+/// by `SHARK_METRICS_SNAPSHOT`, if that variable is set. Called at the end
+/// of a benchmark run so CI can upload the counters/histograms the run
+/// produced as an artifact. Best-effort: an unwritable path is ignored
+/// rather than failing the bench.
+pub fn dump_metrics_snapshot(server: &shark_server::SharkServer) {
     if let Some(path) = std::env::var_os("SHARK_METRICS_SNAPSHOT") {
         if !path.is_empty() {
-            let _ = std::fs::write(path, shark_obs::metrics().render_prometheus());
+            let _ = std::fs::write(path, server.render_prometheus());
         }
     }
 }

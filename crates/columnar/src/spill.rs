@@ -456,6 +456,17 @@ impl<'a> Reader<'a> {
         Ok(n as usize)
     }
 
+    /// Bounded `u32` count of schema fields or columns: each one takes at
+    /// least a byte of what remains, so a larger count is corruption and is
+    /// rejected before anything is allocated for it.
+    fn count(&mut self) -> Result<usize> {
+        let n = self.u32()? as usize;
+        if n > self.buf.len() - self.pos {
+            return Err(corrupt(format!("implausible count {n}")));
+        }
+        Ok(n)
+    }
+
     fn str(&mut self) -> Result<Arc<str>> {
         let n = self.len()?;
         let bytes = self.take(n)?;
@@ -627,7 +638,7 @@ pub fn decode_partition(bytes: &[u8]) -> Result<(ColumnarPartition, u64)> {
 
     let mut r = Reader::new(payload);
 
-    let num_fields = r.u32()? as usize;
+    let num_fields = r.count()?;
     let mut fields = Vec::with_capacity(num_fields);
     for _ in 0..num_fields {
         let name = r.str()?;
@@ -637,7 +648,7 @@ pub fn decode_partition(bytes: &[u8]) -> Result<(ColumnarPartition, u64)> {
     let schema = Schema::new(fields);
 
     let num_rows = r.len()?;
-    let num_columns = r.u32()? as usize;
+    let num_columns = r.count()?;
     if num_columns != schema.len() {
         return Err(corrupt(format!(
             "column count {num_columns} disagrees with schema ({} fields)",
@@ -657,7 +668,7 @@ pub fn decode_partition(bytes: &[u8]) -> Result<(ColumnarPartition, u64)> {
     }
 
     let stats_rows = r.u64()?;
-    let stats_cols = r.u32()? as usize;
+    let stats_cols = r.count()?;
     if stats_cols != num_columns {
         return Err(corrupt("stats column count disagrees with schema"));
     }
@@ -861,6 +872,20 @@ mod tests {
         let mut bad = frame.clone();
         bad[8] = 99;
         assert!(read_frame_header(&bad, None).is_err());
+    }
+
+    #[test]
+    fn inflated_field_count_is_rejected_before_allocation() {
+        let part = ColumnarPartition::from_rows(&schema(), &rows(8));
+        let mut frame = encode_partition(&part, 3);
+        // `num_fields` opens the payload. Inflate it and re-stamp the
+        // checksum so only the count check stands between the decoder and
+        // a `Vec::with_capacity(u32::MAX)` of fields.
+        frame[SPILL_HEADER_BYTES..SPILL_HEADER_BYTES + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let checksum = frame_checksum(3, &frame[SPILL_HEADER_BYTES..]);
+        frame[28..36].copy_from_slice(&checksum.to_le_bytes());
+        let err = decode_partition(&frame).unwrap_err().to_string();
+        assert!(err.contains("implausible count"), "{err}");
     }
 
     #[test]

@@ -223,7 +223,9 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// Create an empty registry (tests; production uses [`metrics`]).
+    /// Create an empty registry. Each `SharkServer` builds one for its
+    /// serving-layer families; families with no per-server owner (WAL,
+    /// scan, stage, simulated cluster) use the process-wide [`metrics`].
     pub fn new() -> MetricsRegistry {
         MetricsRegistry::default()
     }

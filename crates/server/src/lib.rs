@@ -15,9 +15,10 @@
 //!   LRU eviction of whole cached tables under pressure. Eviction drops
 //!   only the in-memory copy: per Shark §2.2 the data is recomputed from
 //!   lineage (the table's base generator) by the next scan that needs it.
-//! * **Metrics** ([`MetricsRegistry`]) — per-query queue wait, execution
-//!   time, cache-hit bytes, recomputes and evictions, aggregated per
-//!   session and server-wide into a [`ServerReport`].
+//! * **Metrics** ([`ServerMetrics`]) — per-query queue wait, execution
+//!   time, cache-hit bytes, recomputes and evictions, counted in the
+//!   server's own `shark_obs::MetricsRegistry` and folded per session and
+//!   server-wide into a [`ServerReport`].
 //! * **Wire serving** ([`net`]) — a length-prefixed, checksummed TCP
 //!   protocol ([`net::frame`], spec in `docs/wire-protocol.md`) and a
 //!   thread-per-connection frontend ([`NetServer`]) that multiplexes
@@ -43,8 +44,8 @@ pub mod wal;
 
 pub use admission::{AdmissionController, AdmissionError, AdmissionPermit};
 pub use memstore::{EvictionEvent, MemstoreManager};
-pub use metrics::{MetricsRegistry, QueryMetrics, ServerReport, SessionStats};
-pub use net::{frame, NetConfig, NetCounters, NetServer, RateClass};
+pub use metrics::{QueryMetrics, ServerMetrics, ServerReport, SessionStats, QUERY_LOG_CAPACITY};
+pub use net::{frame, NetConfig, NetServer, RateClass};
 pub use server::{QueryCursor, ServerConfig, SessionHandle, SessionQueryResult, SharkServer};
 pub use spill::{SpillEvent, SpillManager, StoreOutcome};
 pub use wal::{

@@ -1302,7 +1302,14 @@ mod tests {
             std::process::id()
         ));
         (
-            Arc::new(crate::spill::SpillManager::create(&dir, u64::MAX).unwrap()),
+            Arc::new(
+                crate::spill::SpillManager::create(
+                    &dir,
+                    u64::MAX,
+                    &shark_obs::MetricsRegistry::new(),
+                )
+                .unwrap(),
+            ),
             dir,
         )
     }

@@ -1,104 +1,26 @@
-//! Per-query and per-session metrics, aggregated into a server-level report.
+//! Per-query and per-session metrics, folded into a server-level report.
 //!
-//! Besides the in-process query log ([`MetricsRegistry`]), every recorded
-//! query is also published to the process-wide [`shark_obs::metrics()`]
-//! registry as Prometheus-style counters and histograms
-//! (`shark_queries_total`, `shark_query_exec_seconds`,
-//! `shark_admission_wait_seconds`, …), so one scrape endpoint covers the
-//! serving layer, the scan layer and the simulated cluster.
+//! Each [`crate::SharkServer`] owns one [`shark_obs::MetricsRegistry`] and
+//! registers its serving-layer families there (`shark_queries_total`,
+//! `shark_rejected_total`, `shark_admission_wait_seconds`, …), so two
+//! servers in one process count separately. [`ServerMetrics`] is the only
+//! place a query is counted: a count that is a registry metric is read
+//! back from that metric by [`ServerMetrics::report`]; summed durations,
+//! streamed-only totals and per-session stats are running folds updated in
+//! [`ServerMetrics::record`]. The query log keeps only the most recent
+//! [`QUERY_LOG_CAPACITY`] statements, so neither memory nor the cost of a
+//! report grows with the number of statements run.
 
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
-use std::sync::OnceLock;
 use std::time::Duration;
 
-use shark_obs::{Counter, Histogram, JsonWriter, LATENCY_BUCKETS};
+use shark_obs::{Counter, Histogram, JsonWriter, MetricsRegistry, LATENCY_BUCKETS};
 
-/// Cached handles into the unified [`shark_obs::metrics()`] registry, so
-/// recording a query costs a handful of atomic ops instead of a registry
-/// lookup per metric.
-struct ObsMetrics {
-    queries: Arc<Counter>,
-    failed: Arc<Counter>,
-    streamed: Arc<Counter>,
-    rejected: Arc<Counter>,
-    rows_delivered: Arc<Counter>,
-    prefetch_hits: Arc<Counter>,
-    cache_hit_bytes: Arc<Counter>,
-    recomputed_tables: Arc<Counter>,
-    evictions: Arc<Counter>,
-    quota_evicted: Arc<Counter>,
-    plan_cache_hits: Arc<Counter>,
-    exec_seconds: Arc<Histogram>,
-    admission_wait_seconds: Arc<Histogram>,
-    ttfr_seconds: Arc<Histogram>,
-}
-
-fn obs_metrics() -> &'static ObsMetrics {
-    static OBS: OnceLock<ObsMetrics> = OnceLock::new();
-    OBS.get_or_init(|| {
-        let reg = shark_obs::metrics();
-        ObsMetrics {
-            queries: reg.counter("shark_queries_total", "Queries run (including failed)"),
-            failed: reg.counter(
-                "shark_queries_failed_total",
-                "Queries that returned an error",
-            ),
-            streamed: reg.counter(
-                "shark_streamed_queries_total",
-                "Queries served through a streaming cursor",
-            ),
-            rejected: reg.counter(
-                "shark_rejected_total",
-                "Queries rejected by admission control",
-            ),
-            rows_delivered: reg.counter(
-                "shark_rows_delivered_total",
-                "Result rows delivered to clients",
-            ),
-            prefetch_hits: reg.counter(
-                "shark_prefetch_hits_total",
-                "Stream batch deliveries served by an already-finished prefetch worker",
-            ),
-            cache_hit_bytes: reg.counter(
-                "shark_cache_hit_bytes_total",
-                "Resident columnar bytes of referenced cached tables at admission",
-            ),
-            recomputed_tables: reg.counter(
-                "shark_lineage_recomputed_tables_total",
-                "Referenced tables recomputed from lineage after eviction",
-            ),
-            evictions: reg.counter(
-                "shark_evictions_triggered_total",
-                "Eviction events triggered by query-completion budget enforcement",
-            ),
-            quota_evicted: reg.counter(
-                "shark_quota_evicted_partitions_total",
-                "Partitions evicted because a session exceeded its memory quota",
-            ),
-            plan_cache_hits: reg.counter(
-                "shark_plan_cache_hits_total",
-                "Queries answered with a cached plan (parse and plan skipped)",
-            ),
-            exec_seconds: reg.histogram(
-                "shark_query_exec_seconds",
-                "Wall-clock query execution time after admission",
-                LATENCY_BUCKETS,
-            ),
-            admission_wait_seconds: reg.histogram(
-                "shark_admission_wait_seconds",
-                "Time queries spent waiting in the admission queue",
-                LATENCY_BUCKETS,
-            ),
-            ttfr_seconds: reg.histogram(
-                "shark_time_to_first_row_seconds",
-                "Time from admission until the first result row was delivered",
-                LATENCY_BUCKETS,
-            ),
-        }
-    })
-}
+/// Statements kept by [`ServerMetrics::query_log`]: the most recent ones,
+/// the oldest dropped first.
+pub const QUERY_LOG_CAPACITY: usize = 4096;
 
 /// What one query cost, observed by the serving layer.
 #[derive(Debug, Clone)]
@@ -171,7 +93,7 @@ pub struct SessionStats {
 }
 
 /// Server-level aggregate over every session.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServerReport {
     /// Queries that ran to completion or failure (not rejected ones).
     pub total_queries: u64,
@@ -617,93 +539,194 @@ impl ServerReport {
     }
 }
 
-/// Collects [`QueryMetrics`] and per-session rejection counts.
+/// Running folds over every recorded query that no registry metric holds
+/// exactly, plus the recent-statement ring.
 #[derive(Default)]
-pub struct MetricsRegistry {
-    queries: Mutex<Vec<QueryMetrics>>,
-    rejected: Mutex<BTreeMap<u64, u64>>,
+struct Folds {
+    total_queue_wait: Duration,
+    max_queue_wait: Duration,
+    total_exec_time: Duration,
+    total_time_to_first_row: Duration,
+    streamed_time_to_first_row: Duration,
+    streamed_rows: u64,
+    streamed_partitions: u64,
+    sessions: BTreeMap<u64, SessionStats>,
+    log: VecDeque<QueryMetrics>,
 }
 
-impl MetricsRegistry {
-    /// Record one completed (or failed) query — in the query log and in the
-    /// unified [`shark_obs::metrics()`] registry.
-    pub fn record(&self, metrics: QueryMetrics) {
-        let obs = obs_metrics();
-        obs.queries.inc();
-        if metrics.failed {
-            obs.failed.inc();
+impl Folds {
+    fn session(&mut self, session_id: u64) -> &mut SessionStats {
+        self.sessions
+            .entry(session_id)
+            .or_insert_with(|| SessionStats {
+                session_id,
+                ..SessionStats::default()
+            })
+    }
+}
+
+/// One server's query metrics: handles into its registry plus the folds.
+/// Counters are bumped under the folds lock, so a report sees every
+/// recorded query in both or in neither.
+pub struct ServerMetrics {
+    queries: Arc<Counter>,
+    failed: Arc<Counter>,
+    streamed: Arc<Counter>,
+    rejected: Arc<Counter>,
+    rows_delivered: Arc<Counter>,
+    prefetch_hits: Arc<Counter>,
+    cache_hit_bytes: Arc<Counter>,
+    recomputed_tables: Arc<Counter>,
+    evictions: Arc<Counter>,
+    quota_evicted: Arc<Counter>,
+    plan_cache_hits: Arc<Counter>,
+    exec_seconds: Arc<Histogram>,
+    admission_wait_seconds: Arc<Histogram>,
+    ttfr_seconds: Arc<Histogram>,
+    folds: Mutex<Folds>,
+}
+
+impl ServerMetrics {
+    /// Register the query families in `reg`.
+    pub fn new(reg: &MetricsRegistry) -> ServerMetrics {
+        ServerMetrics {
+            queries: reg.counter("shark_queries_total", "Queries run (including failed)"),
+            failed: reg.counter(
+                "shark_queries_failed_total",
+                "Queries that returned an error",
+            ),
+            streamed: reg.counter(
+                "shark_streamed_queries_total",
+                "Queries served through a streaming cursor",
+            ),
+            rejected: reg.counter(
+                "shark_rejected_total",
+                "Queries rejected by admission control",
+            ),
+            rows_delivered: reg.counter(
+                "shark_rows_delivered_total",
+                "Result rows delivered to clients",
+            ),
+            prefetch_hits: reg.counter(
+                "shark_prefetch_hits_total",
+                "Stream batch deliveries served by an already-finished prefetch worker",
+            ),
+            cache_hit_bytes: reg.counter(
+                "shark_cache_hit_bytes_total",
+                "Resident columnar bytes of referenced cached tables at admission",
+            ),
+            recomputed_tables: reg.counter(
+                "shark_lineage_recomputed_tables_total",
+                "Referenced tables recomputed from lineage after eviction",
+            ),
+            evictions: reg.counter(
+                "shark_evictions_triggered_total",
+                "Eviction events triggered by query-completion budget enforcement",
+            ),
+            quota_evicted: reg.counter(
+                "shark_quota_evicted_partitions_total",
+                "Partitions evicted because a session exceeded its memory quota",
+            ),
+            plan_cache_hits: reg.counter(
+                "shark_plan_cache_hits_total",
+                "Queries answered with a cached plan (parse and plan skipped)",
+            ),
+            exec_seconds: reg.histogram(
+                "shark_query_exec_seconds",
+                "Wall-clock query execution time after admission",
+                LATENCY_BUCKETS,
+            ),
+            admission_wait_seconds: reg.histogram(
+                "shark_admission_wait_seconds",
+                "Time queries spent waiting in the admission queue",
+                LATENCY_BUCKETS,
+            ),
+            ttfr_seconds: reg.histogram(
+                "shark_time_to_first_row_seconds",
+                "Time from admission until the first result row was delivered",
+                LATENCY_BUCKETS,
+            ),
+            folds: Mutex::new(Folds::default()),
         }
-        if metrics.streamed {
-            obs.streamed.inc();
+    }
+
+    /// Record one completed (or failed) query.
+    pub fn record(&self, q: QueryMetrics) {
+        self.exec_seconds.observe(q.exec_time.as_secs_f64());
+        self.admission_wait_seconds
+            .observe(q.queue_wait.as_secs_f64());
+        self.ttfr_seconds.observe(q.time_to_first_row.as_secs_f64());
+        let mut folds = self.folds.lock();
+        self.queries.inc();
+        if q.failed {
+            self.failed.inc();
         }
-        obs.rows_delivered.add(metrics.rows_streamed);
-        obs.prefetch_hits.add(metrics.prefetch_hits);
-        obs.cache_hit_bytes.add(metrics.cache_hit_bytes);
-        obs.recomputed_tables.add(metrics.recomputed_tables as u64);
-        obs.evictions.add(metrics.evictions_triggered as u64);
-        obs.quota_evicted.add(metrics.quota_evictions as u64);
-        if metrics.plan_cache_hit {
-            obs.plan_cache_hits.inc();
+        self.rows_delivered.add(q.rows_streamed);
+        self.cache_hit_bytes.add(q.cache_hit_bytes);
+        self.recomputed_tables.add(q.recomputed_tables as u64);
+        self.evictions.add(q.evictions_triggered as u64);
+        self.quota_evicted.add(q.quota_evictions as u64);
+        if q.plan_cache_hit {
+            self.plan_cache_hits.inc();
         }
-        obs.exec_seconds.observe(metrics.exec_time.as_secs_f64());
-        obs.admission_wait_seconds
-            .observe(metrics.queue_wait.as_secs_f64());
-        obs.ttfr_seconds
-            .observe(metrics.time_to_first_row.as_secs_f64());
-        self.queries.lock().push(metrics);
+        folds.total_queue_wait += q.queue_wait;
+        folds.max_queue_wait = folds.max_queue_wait.max(q.queue_wait);
+        folds.total_exec_time += q.exec_time;
+        folds.total_time_to_first_row += q.time_to_first_row;
+        if q.streamed {
+            self.streamed.inc();
+            self.prefetch_hits.add(q.prefetch_hits);
+            folds.streamed_rows += q.rows_streamed;
+            folds.streamed_partitions += q.partitions_streamed as u64;
+            folds.streamed_time_to_first_row += q.time_to_first_row;
+        }
+        let session = folds.session(q.session_id);
+        session.queries += 1;
+        session.total_queue_wait += q.queue_wait;
+        session.total_exec_time += q.exec_time;
+        session.cache_hit_bytes += q.cache_hit_bytes;
+        if folds.log.len() == QUERY_LOG_CAPACITY {
+            folds.log.pop_front();
+        }
+        folds.log.push_back(q);
     }
 
     /// Record an admission rejection for a session.
     pub fn record_rejection(&self, session_id: u64) {
-        obs_metrics().rejected.inc();
-        *self.rejected.lock().entry(session_id).or_insert(0) += 1;
+        let mut folds = self.folds.lock();
+        self.rejected.inc();
+        folds.session(session_id).rejected += 1;
     }
 
-    /// Snapshot of every recorded query, in completion order.
+    /// The most recent [`QUERY_LOG_CAPACITY`] recorded queries, in
+    /// completion order.
     pub fn query_log(&self) -> Vec<QueryMetrics> {
-        self.queries.lock().clone()
+        self.folds.lock().log.iter().cloned().collect()
     }
 
-    /// Aggregate everything recorded so far. Cache/eviction/concurrency
-    /// fields are left at zero for the caller ([`crate::SharkServer`]) to
-    /// fill in from the memstore manager and admission controller.
-    pub fn aggregate(&self) -> ServerReport {
-        let queries = self.queries.lock();
-        let rejected = self.rejected.lock();
-        let mut report = ServerReport::default();
-        let mut sessions: BTreeMap<u64, SessionStats> = BTreeMap::new();
-        for (&session_id, &count) in rejected.iter() {
-            let entry = sessions.entry(session_id).or_default();
-            entry.session_id = session_id;
-            entry.rejected = count;
-            report.rejected_queries += count;
+    /// The query fields of a report, over every query recorded so far.
+    /// Cache/eviction/concurrency fields are left at zero for the caller
+    /// ([`crate::SharkServer`]) to fill in from the memstore manager and
+    /// admission controller.
+    pub fn report(&self) -> ServerReport {
+        let folds = self.folds.lock();
+        ServerReport {
+            total_queries: self.queries.get(),
+            rejected_queries: self.rejected.get(),
+            failed_queries: self.failed.get(),
+            total_queue_wait: folds.total_queue_wait,
+            max_queue_wait: folds.max_queue_wait,
+            total_exec_time: folds.total_exec_time,
+            total_time_to_first_row: folds.total_time_to_first_row,
+            streamed_time_to_first_row: folds.streamed_time_to_first_row,
+            streamed_queries: self.streamed.get(),
+            streamed_rows: folds.streamed_rows,
+            streamed_partitions: folds.streamed_partitions,
+            prefetch_hits: self.prefetch_hits.get(),
+            cache_hit_bytes: self.cache_hit_bytes.get(),
+            sessions: folds.sessions.values().cloned().collect(),
+            ..ServerReport::default()
         }
-        for q in queries.iter() {
-            report.total_queries += 1;
-            if q.failed {
-                report.failed_queries += 1;
-            }
-            report.total_queue_wait += q.queue_wait;
-            report.max_queue_wait = report.max_queue_wait.max(q.queue_wait);
-            report.total_exec_time += q.exec_time;
-            report.total_time_to_first_row += q.time_to_first_row;
-            if q.streamed {
-                report.streamed_queries += 1;
-                report.streamed_rows += q.rows_streamed;
-                report.streamed_partitions += q.partitions_streamed as u64;
-                report.streamed_time_to_first_row += q.time_to_first_row;
-                report.prefetch_hits += q.prefetch_hits;
-            }
-            report.cache_hit_bytes += q.cache_hit_bytes;
-            let entry = sessions.entry(q.session_id).or_default();
-            entry.session_id = q.session_id;
-            entry.queries += 1;
-            entry.total_queue_wait += q.queue_wait;
-            entry.total_exec_time += q.exec_time;
-            entry.cache_hit_bytes += q.cache_hit_bytes;
-        }
-        report.sessions = sessions.into_values().collect();
-        report
     }
 }
 
@@ -735,15 +758,56 @@ mod tests {
         }
     }
 
+    /// The fold `report()` replaced: a re-scan of the whole query log plus
+    /// the per-session rejection counts. Kept as the reference the running
+    /// folds must agree with.
+    fn reference_fold(log: &[QueryMetrics], rejected: &BTreeMap<u64, u64>) -> ServerReport {
+        let mut report = ServerReport::default();
+        let mut sessions: BTreeMap<u64, SessionStats> = BTreeMap::new();
+        for (&session_id, &count) in rejected.iter() {
+            let entry = sessions.entry(session_id).or_default();
+            entry.session_id = session_id;
+            entry.rejected = count;
+            report.rejected_queries += count;
+        }
+        for q in log {
+            report.total_queries += 1;
+            if q.failed {
+                report.failed_queries += 1;
+            }
+            report.total_queue_wait += q.queue_wait;
+            report.max_queue_wait = report.max_queue_wait.max(q.queue_wait);
+            report.total_exec_time += q.exec_time;
+            report.total_time_to_first_row += q.time_to_first_row;
+            if q.streamed {
+                report.streamed_queries += 1;
+                report.streamed_rows += q.rows_streamed;
+                report.streamed_partitions += q.partitions_streamed as u64;
+                report.streamed_time_to_first_row += q.time_to_first_row;
+                report.prefetch_hits += q.prefetch_hits;
+            }
+            report.cache_hit_bytes += q.cache_hit_bytes;
+            let entry = sessions.entry(q.session_id).or_default();
+            entry.session_id = q.session_id;
+            entry.queries += 1;
+            entry.total_queue_wait += q.queue_wait;
+            entry.total_exec_time += q.exec_time;
+            entry.cache_hit_bytes += q.cache_hit_bytes;
+        }
+        report.sessions = sessions.into_values().collect();
+        report
+    }
+
     #[test]
     fn aggregates_by_session_and_totals() {
-        let registry = MetricsRegistry::default();
-        registry.record(q(1, 10, 100, false));
-        registry.record(q(1, 30, 50, true));
-        registry.record(q(2, 0, 200, false));
-        registry.record_rejection(2);
-        registry.record_rejection(3);
-        let report = registry.aggregate();
+        let registry = MetricsRegistry::new();
+        let metrics = ServerMetrics::new(&registry);
+        metrics.record(q(1, 10, 100, false));
+        metrics.record(q(1, 30, 50, true));
+        metrics.record(q(2, 0, 200, false));
+        metrics.record_rejection(2);
+        metrics.record_rejection(3);
+        let report = metrics.report();
         assert_eq!(report.total_queries, 3);
         assert_eq!(report.failed_queries, 1);
         assert_eq!(report.rejected_queries, 2);
@@ -762,7 +826,7 @@ mod tests {
         assert_eq!(report.sessions[1].cache_hit_bytes, 200);
         assert_eq!(report.sessions[2].rejected, 1);
         assert_eq!(report.sessions[2].queries, 0);
-        assert_eq!(registry.query_log().len(), 3);
+        assert_eq!(metrics.query_log().len(), 3);
         assert!(!report.render().is_empty());
         // Unbounded budgets read as such, not as u64::MAX; JSON keeps the
         // raw numbers.
@@ -781,12 +845,96 @@ mod tests {
         assert!(json.contains("\"total_queries\":3"));
         assert!(json.contains("\"streamed_rows\":12"));
         assert!(json.contains("\"sessions\":[{"));
-        // Publication into the unified registry happened as a side effect.
-        let snap = shark_obs::metrics().snapshot();
+        // The counts live in the registry the metrics were built on.
+        let snap = registry.snapshot();
         assert!(snap.counter("shark_queries_total") >= 3);
         assert!(snap.counter("shark_rejected_total") >= 2);
         assert!(snap
             .histogram("shark_admission_wait_seconds")
             .is_some_and(|h| h.count >= 3));
+    }
+
+    #[test]
+    fn query_log_is_a_ring_of_the_most_recent_statements() {
+        let metrics = ServerMetrics::new(&MetricsRegistry::new());
+        let total = QUERY_LOG_CAPACITY + 100;
+        for id in 0..total {
+            let mut query = q(1 + id as u64 % 3, 1, 10, false);
+            query.query_id = id as u64;
+            metrics.record(query);
+        }
+        let log = metrics.query_log();
+        assert_eq!(log.len(), QUERY_LOG_CAPACITY);
+        // The first 100 statements aged out; the rest stay in order.
+        assert_eq!(log.first().unwrap().query_id, 100);
+        assert_eq!(log.last().unwrap().query_id, total as u64 - 1);
+        assert!(log.windows(2).all(|w| w[0].query_id + 1 == w[1].query_id));
+        let report = metrics.report();
+        assert_eq!(report.total_queries, total as u64);
+        assert_eq!(report.cache_hit_bytes, 10 * total as u64);
+        assert_eq!(
+            report.sessions.iter().map(|s| s.queries).sum::<u64>(),
+            total as u64
+        );
+    }
+
+    #[test]
+    fn running_folds_equal_the_reference_fold_over_a_mixed_log() {
+        // Seeded xorshift, so the mix is the same on every run.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let metrics = ServerMetrics::new(&MetricsRegistry::new());
+        let mut log = Vec::new();
+        let mut rejected: BTreeMap<u64, u64> = BTreeMap::new();
+        for id in 0..2_000u64 {
+            let session = 1 + next(7);
+            if next(10) == 0 {
+                metrics.record_rejection(session);
+                *rejected.entry(session).or_default() += 1;
+                continue;
+            }
+            // Blocking, streamed, and failed queries of either kind; a
+            // blocking query's first row arrives with the whole result.
+            let streamed = next(2) == 0;
+            let exec_time = Duration::from_micros(next(50_000));
+            let query = QueryMetrics {
+                session_id: session,
+                query_id: id,
+                statement: format!("SELECT {id}"),
+                queue_wait: Duration::from_nanos(next(5_000_000)),
+                exec_time,
+                sim_seconds: next(1_000) as f64 / 7.0,
+                time_to_first_row: if streamed {
+                    Duration::from_micros(next(exec_time.as_micros() as u64 + 1))
+                } else {
+                    exec_time
+                },
+                rows_streamed: next(10_000),
+                partitions_streamed: next(9) as usize,
+                partitions_total: 8,
+                streamed,
+                prefetch_depth: if streamed { next(4) as usize } else { 0 },
+                prefetch_hits: if streamed { next(8) } else { 0 },
+                cache_hit_bytes: next(1 << 20),
+                recomputed_tables: next(2) as usize,
+                evictions_triggered: next(3) as usize,
+                quota_evictions: next(3) as usize,
+                plan_cache_hit: next(2) == 0,
+                failed: next(8) == 0,
+            };
+            log.push(query.clone());
+            metrics.record(query);
+        }
+        assert!(
+            log.len() < QUERY_LOG_CAPACITY,
+            "the ring must hold the whole log"
+        );
+        assert_eq!(metrics.query_log().len(), log.len());
+        assert_eq!(metrics.report(), reference_fold(&log, &rejected));
     }
 }

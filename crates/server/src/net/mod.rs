@@ -47,33 +47,36 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use shark_common::{Result, Row, SharkError};
+use shark_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
 use crate::server::{SessionHandle, SharkServer};
 use frame::{Frame, FrameError};
 
-/// Cached unified-registry handles for the `shark_net_*` metric family.
-struct NetObs {
-    opened: Arc<shark_obs::Counter>,
-    closed: Arc<shark_obs::Counter>,
-    reaped: Arc<shark_obs::Counter>,
-    active: Arc<shark_obs::Gauge>,
-    bytes_sent: Arc<shark_obs::Counter>,
-    bytes_received: Arc<shark_obs::Counter>,
-    frames_sent: Arc<shark_obs::Counter>,
-    frames_received: Arc<shark_obs::Counter>,
-    protocol_errors: Arc<shark_obs::Counter>,
-    auth_failures: Arc<shark_obs::Counter>,
-    queries: Arc<shark_obs::Counter>,
-    prepared: Arc<shark_obs::Counter>,
-    cancels: Arc<shark_obs::Counter>,
-    frame_bytes: Arc<shark_obs::Histogram>,
+/// The `shark_net_*` family, registered in the owning server's registry:
+/// the frontend counts into it and [`crate::ServerReport`] reads it back.
+/// Registered when the server boots, so the report carries the
+/// `connections_*` / `wire_bytes_*` / `net_*` fields (all zero) before
+/// `serve` is called.
+pub(crate) struct NetMetrics {
+    pub(crate) opened: Arc<Counter>,
+    pub(crate) closed: Arc<Counter>,
+    pub(crate) reaped: Arc<Counter>,
+    active: Arc<Gauge>,
+    pub(crate) bytes_sent: Arc<Counter>,
+    pub(crate) bytes_received: Arc<Counter>,
+    pub(crate) frames_sent: Arc<Counter>,
+    pub(crate) frames_received: Arc<Counter>,
+    pub(crate) protocol_errors: Arc<Counter>,
+    pub(crate) auth_failures: Arc<Counter>,
+    pub(crate) queries: Arc<Counter>,
+    pub(crate) prepared: Arc<Counter>,
+    pub(crate) cancels: Arc<Counter>,
+    frame_bytes: Arc<Histogram>,
 }
 
-fn net_obs() -> &'static NetObs {
-    static OBS: std::sync::OnceLock<NetObs> = std::sync::OnceLock::new();
-    OBS.get_or_init(|| {
-        let reg = shark_obs::metrics();
-        NetObs {
+impl NetMetrics {
+    pub(crate) fn new(reg: &MetricsRegistry) -> NetMetrics {
+        NetMetrics {
             opened: reg.counter(
                 "shark_net_connections_opened_total",
                 "TCP connections accepted by the serving frontend",
@@ -129,154 +132,32 @@ fn net_obs() -> &'static NetObs {
                 shark_obs::WIRE_BUCKETS,
             ),
         }
-    })
-}
+    }
 
-/// Wire-frontend counters, owned by [`crate::SharkServer`] so the
-/// [`crate::ServerReport`] always carries the `connections_*` /
-/// `wire_bytes_*` / `net_*` gauges (all zero until `serve` is called).
-/// Every mutation also feeds the `shark_net_*` unified-registry metrics.
-#[derive(Default)]
-pub struct NetCounters {
-    opened: AtomicU64,
-    closed: AtomicU64,
-    reaped: AtomicU64,
-    bytes_sent: AtomicU64,
-    bytes_received: AtomicU64,
-    frames_sent: AtomicU64,
-    frames_received: AtomicU64,
-    protocol_errors: AtomicU64,
-    auth_failures: AtomicU64,
-    queries: AtomicU64,
-    prepared_statements: AtomicU64,
-    cancels: AtomicU64,
-}
-
-impl NetCounters {
     fn connection_opened(&self) {
-        self.opened.fetch_add(1, Ordering::Relaxed);
-        let obs = net_obs();
-        obs.opened.inc();
-        obs.active.add(1);
+        self.opened.inc();
+        self.active.add(1);
     }
 
     fn connection_closed(&self) {
-        self.closed.fetch_add(1, Ordering::Relaxed);
-        let obs = net_obs();
-        obs.closed.inc();
-        obs.active.add(-1);
-    }
-
-    fn connection_reaped(&self) {
-        self.reaped.fetch_add(1, Ordering::Relaxed);
-        net_obs().reaped.inc();
+        self.closed.inc();
+        self.active.add(-1);
     }
 
     fn frame_sent(&self, bytes: u64) {
-        self.frames_sent.fetch_add(1, Ordering::Relaxed);
-        self.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
-        let obs = net_obs();
-        obs.frames_sent.inc();
-        obs.bytes_sent.add(bytes);
-        obs.frame_bytes.observe(bytes as f64);
+        self.frames_sent.inc();
+        self.bytes_sent.add(bytes);
+        self.frame_bytes.observe(bytes as f64);
     }
 
     fn frame_received(&self, bytes: u64) {
-        self.frames_received.fetch_add(1, Ordering::Relaxed);
-        self.bytes_received.fetch_add(bytes, Ordering::Relaxed);
-        let obs = net_obs();
-        obs.frames_received.inc();
-        obs.bytes_received.add(bytes);
+        self.frames_received.inc();
+        self.bytes_received.add(bytes);
     }
 
-    fn protocol_error(&self) {
-        self.protocol_errors.fetch_add(1, Ordering::Relaxed);
-        net_obs().protocol_errors.inc();
-    }
-
-    fn auth_failure(&self) {
-        self.auth_failures.fetch_add(1, Ordering::Relaxed);
-        net_obs().auth_failures.inc();
-    }
-
-    fn query(&self) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        net_obs().queries.inc();
-    }
-
-    fn prepared(&self) {
-        self.prepared_statements.fetch_add(1, Ordering::Relaxed);
-        net_obs().prepared.inc();
-    }
-
-    fn cancel(&self) {
-        self.cancels.fetch_add(1, Ordering::Relaxed);
-        net_obs().cancels.inc();
-    }
-
-    /// Connections ever accepted.
-    pub fn opened(&self) -> u64 {
-        self.opened.load(Ordering::Relaxed)
-    }
-
-    /// Connections fully torn down.
-    pub fn closed(&self) -> u64 {
-        self.closed.load(Ordering::Relaxed)
-    }
-
-    /// Connections currently open (`opened - closed`).
-    pub fn active(&self) -> u64 {
-        self.opened().saturating_sub(self.closed())
-    }
-
-    /// Connections force-closed by the idle reaper (also counted closed).
-    pub fn reaped(&self) -> u64 {
-        self.reaped.load(Ordering::Relaxed)
-    }
-
-    /// Frame bytes written to clients.
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent.load(Ordering::Relaxed)
-    }
-
-    /// Frame bytes read from clients.
-    pub fn bytes_received(&self) -> u64 {
-        self.bytes_received.load(Ordering::Relaxed)
-    }
-
-    /// Frames written to clients.
-    pub fn frames_sent(&self) -> u64 {
-        self.frames_sent.load(Ordering::Relaxed)
-    }
-
-    /// Frames read from clients.
-    pub fn frames_received(&self) -> u64 {
-        self.frames_received.load(Ordering::Relaxed)
-    }
-
-    /// Malformed frames observed (each closed its connection).
-    pub fn protocol_errors(&self) -> u64 {
-        self.protocol_errors.load(Ordering::Relaxed)
-    }
-
-    /// Handshakes rejected.
-    pub fn auth_failures(&self) -> u64 {
-        self.auth_failures.load(Ordering::Relaxed)
-    }
-
-    /// Query + Execute frames processed.
-    pub fn queries(&self) -> u64 {
-        self.queries.load(Ordering::Relaxed)
-    }
-
-    /// Statements registered by Prepare frames.
-    pub fn prepared_statements(&self) -> u64 {
-        self.prepared_statements.load(Ordering::Relaxed)
-    }
-
-    /// Cancel frames honored.
-    pub fn cancels(&self) -> u64 {
-        self.cancels.load(Ordering::Relaxed)
+    /// Connections currently open.
+    pub(crate) fn active(&self) -> u64 {
+        self.active.get().max(0) as u64
     }
 }
 
@@ -439,7 +320,7 @@ impl DeadlineWheel {
 /// The running TCP frontend: accept loop, per-connection handler threads
 /// and the idle reaper. Dropping it (or calling [`NetServer::shutdown`])
 /// stops accepting, force-closes every connection and joins all threads —
-/// after which [`NetCounters::active`] is zero or the teardown failed.
+/// after which [`NetServer::active_connections`] is zero or the teardown failed.
 pub struct NetServer {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
@@ -464,8 +345,8 @@ impl NetShared {
         self.epoch.elapsed().as_millis() as u64
     }
 
-    fn counters(&self) -> &NetCounters {
-        self.server.net_counters()
+    fn counters(&self) -> &NetMetrics {
+        self.server.net_metrics()
     }
 }
 
@@ -664,7 +545,7 @@ fn reaper_loop(shared: Arc<NetShared>) {
                     // handler's blocking read errors out and tears the
                     // connection down (counting `closed` itself).
                     let _ = conn.stream.shutdown(Shutdown::Both);
-                    shared.counters().connection_reaped();
+                    shared.counters().reaped.inc();
                 } else {
                     // Saw traffic since it was filed: re-file at the
                     // deadline its current activity implies.
@@ -677,7 +558,7 @@ fn reaper_loop(shared: Arc<NetShared>) {
 }
 
 /// Write one frame to the socket, feeding the counters.
-fn send_frame(mut stream: &TcpStream, counters: &NetCounters, frame: &Frame) -> io::Result<()> {
+fn send_frame(mut stream: &TcpStream, counters: &NetMetrics, frame: &Frame) -> io::Result<()> {
     let bytes = frame::write_frame(&mut stream, frame)?;
     counters.frame_sent(bytes);
     Ok(())
@@ -698,7 +579,7 @@ enum ClientSignal {
 /// Peek the socket for a buffered client frame without blocking the
 /// stream. A complete or in-flight frame is consumed (the tail read
 /// blocks only for bytes the client has already committed to sending).
-fn poll_client(stream: &TcpStream, counters: &NetCounters) -> ClientSignal {
+fn poll_client(stream: &TcpStream, counters: &NetMetrics) -> ClientSignal {
     if stream.set_nonblocking(true).is_err() {
         return ClientSignal::Abort;
     }
@@ -716,14 +597,14 @@ fn poll_client(stream: &TcpStream, counters: &NetCounters) -> ClientSignal {
                     Frame::Cancel => ClientSignal::Cancel,
                     Frame::Close => ClientSignal::Close,
                     _ => {
-                        counters.protocol_error();
+                        counters.protocol_errors.inc();
                         ClientSignal::Abort
                     }
                 }
             }
             Err(FrameError::Io(_)) => ClientSignal::Abort,
             Err(FrameError::Protocol(_)) => {
-                counters.protocol_error();
+                counters.protocol_errors.inc();
                 ClientSignal::Abort
             }
         },
@@ -752,7 +633,7 @@ fn handle_connection(stream: TcpStream, conn: Arc<ConnState>, shared: Arc<NetSha
         }
         Err(FrameError::Io(_)) => return,
         Err(FrameError::Protocol(_)) => {
-            counters.protocol_error();
+            counters.protocol_errors.inc();
             let _ = send_frame(
                 &stream,
                 counters,
@@ -767,7 +648,7 @@ fn handle_connection(stream: TcpStream, conn: Arc<ConnState>, shared: Arc<NetSha
     let (token, tenant) = match hello {
         Frame::Hello { token, tenant } => (token, tenant),
         _ => {
-            counters.protocol_error();
+            counters.protocol_errors.inc();
             let _ = send_frame(
                 &stream,
                 counters,
@@ -781,7 +662,7 @@ fn handle_connection(stream: TcpStream, conn: Arc<ConnState>, shared: Arc<NetSha
     };
     if let Some(expected) = &shared.config.auth_token {
         if &token != expected {
-            counters.auth_failure();
+            counters.auth_failures.inc();
             let _ = send_frame(
                 &stream,
                 counters,
@@ -833,7 +714,7 @@ fn handle_connection(stream: TcpStream, conn: Arc<ConnState>, shared: Arc<NetSha
             // itself; either way the connection is done.
             Err(FrameError::Io(_)) => return,
             Err(FrameError::Protocol(msg)) => {
-                counters.protocol_error();
+                counters.protocol_errors.inc();
                 let _ = send_frame(
                     &stream,
                     counters,
@@ -847,12 +728,12 @@ fn handle_connection(stream: TcpStream, conn: Arc<ConnState>, shared: Arc<NetSha
         };
         let after = match request {
             Frame::Query { sql } => {
-                counters.query();
+                counters.queries.inc();
                 run_statement(&stream, counters, &session, &class, &sql)
             }
             Frame::Prepare { sql } => match session.parse_statement(&sql) {
                 Ok(_) => {
-                    counters.prepared();
+                    counters.prepared.inc();
                     let statement_id = next_statement_id;
                     next_statement_id += 1;
                     let fingerprint = shark_sql::statement_fingerprint(&sql);
@@ -873,7 +754,7 @@ fn handle_connection(stream: TcpStream, conn: Arc<ConnState>, shared: Arc<NetSha
             },
             Frame::Execute { statement_id } => match prepared.get(&statement_id).cloned() {
                 Some(sql) => {
-                    counters.query();
+                    counters.queries.inc();
                     run_statement(&stream, counters, &session, &class, &sql)
                 }
                 None => {
@@ -888,7 +769,7 @@ fn handle_connection(stream: TcpStream, conn: Arc<ConnState>, shared: Arc<NetSha
             Frame::Cancel => After::Continue,
             Frame::Close => After::Hangup,
             _ => {
-                counters.protocol_error();
+                counters.protocol_errors.inc();
                 let _ = send_frame(
                     &stream,
                     counters,
@@ -907,7 +788,7 @@ fn handle_connection(stream: TcpStream, conn: Arc<ConnState>, shared: Arc<NetSha
 }
 
 /// Send an Error frame for a failed statement; the connection survives.
-fn send_error(stream: &TcpStream, counters: &NetCounters, err: &SharkError) -> After {
+fn send_error(stream: &TcpStream, counters: &NetMetrics, err: &SharkError) -> After {
     match send_frame(
         stream,
         counters,
@@ -926,7 +807,7 @@ fn send_error(stream: &TcpStream, counters: &NetCounters, err: &SharkError) -> A
 /// statements run to completion and return their rows in one pass.
 fn run_statement(
     stream: &TcpStream,
-    counters: &NetCounters,
+    counters: &NetMetrics,
     session: &SessionHandle,
     class: &RateClass,
     sql: &str,
@@ -946,7 +827,7 @@ fn is_select(sql: &str) -> bool {
 
 fn run_batch(
     stream: &TcpStream,
-    counters: &NetCounters,
+    counters: &NetMetrics,
     session: &SessionHandle,
     class: &RateClass,
     sql: &str,
@@ -998,7 +879,7 @@ fn run_batch(
 
 fn run_streamed(
     stream: &TcpStream,
-    counters: &NetCounters,
+    counters: &NetMetrics,
     session: &SessionHandle,
     class: &RateClass,
     sql: &str,
@@ -1028,7 +909,7 @@ fn run_streamed(
         match poll_client(stream, counters) {
             ClientSignal::Idle => {}
             ClientSignal::Cancel => {
-                counters.cancel();
+                counters.cancels.inc();
                 cancelled = true;
                 break;
             }

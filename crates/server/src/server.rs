@@ -33,8 +33,8 @@ use shark_sql::{
 
 use crate::admission::{AdmissionController, AdmissionPermit};
 use crate::memstore::{EvictionEvent, MemstoreManager};
-use crate::metrics::{MetricsRegistry, QueryMetrics, ServerReport};
-use crate::net::{NetConfig, NetCounters, NetServer};
+use crate::metrics::{QueryMetrics, ServerMetrics, ServerReport};
+use crate::net::{NetConfig, NetMetrics, NetServer};
 use crate::spill::{SpillEvent, SpillManager};
 use crate::wal::{
     read_manifest, read_snapshot, recovery_metrics, replay_wal, write_manifest, write_snapshot,
@@ -206,7 +206,11 @@ pub(crate) struct ServerShared {
     exec: ExecConfig,
     admission: AdmissionController,
     memstore: MemstoreManager,
-    metrics: MetricsRegistry,
+    /// This server's own metrics registry: every serving-layer family
+    /// (queries, net, spill, RDD-cache evictions) is registered here and
+    /// nowhere else, and [`SharkServer::report`] reads it back.
+    registry: shark_obs::MetricsRegistry,
+    metrics: ServerMetrics,
     next_session_id: AtomicU64,
     next_query_id: AtomicU64,
     max_total_prefetch: usize,
@@ -221,10 +225,9 @@ pub(crate) struct ServerShared {
     /// The shared prepared-statement / plan cache every session of this
     /// server participates in (`None` when disabled by configuration).
     plan_cache: Option<Arc<PlanCache>>,
-    /// Wire/connection counters of the TCP frontend; all-zero until
-    /// [`SharkServer::serve`] is called, so [`SharkServer::report`] always
-    /// carries the gauges.
-    pub(crate) net: NetCounters,
+    /// The TCP frontend's `shark_net_*` family; all-zero until
+    /// [`SharkServer::serve`] is called.
+    net: NetMetrics,
 }
 
 impl ServerShared {
@@ -453,6 +456,7 @@ impl SharkServer {
         if let Some(threads) = config.executor_threads {
             shark_rdd::Executor::configure_global(threads);
         }
+        let registry = shark_obs::MetricsRegistry::new();
         let mut memstore = MemstoreManager::new(config.memory_budget_bytes)
             .with_session_quota(config.session_mem_quota_bytes);
         let mut spill = None;
@@ -461,7 +465,7 @@ impl SharkServer {
             // durability) rather than failing server start: queries then
             // see the pre-spill world (eviction = lineage recompute),
             // never an I/O error.
-            if let Ok(manager) = SpillManager::create(dir, config.spill_budget_bytes) {
+            if let Ok(manager) = SpillManager::create(dir, config.spill_budget_bytes, &registry) {
                 let manager = Arc::new(manager);
                 memstore = memstore.with_spill(manager.clone());
                 spill = Some(manager);
@@ -494,13 +498,13 @@ impl SharkServer {
                 })
         });
         let ctx = RddContext::new(config.rdd);
-        // Observe RDD-cache policy evictions in the unified registry (the
+        // Observe RDD-cache policy evictions in the server's registry (the
         // table memstore's evictions are counted by the manager itself).
-        let rdd_evictions = shark_obs::metrics().counter(
+        let rdd_evictions = registry.counter(
             "shark_rdd_cache_evicted_partitions_total",
             "RDD-cache partitions evicted by the memory budget",
         );
-        let rdd_evicted_bytes = shark_obs::metrics().counter(
+        let rdd_evicted_bytes = registry.counter(
             "shark_rdd_cache_evicted_bytes_total",
             "RDD-cache bytes evicted by the memory budget",
         );
@@ -519,7 +523,9 @@ impl SharkServer {
                     config.max_queued_queries,
                 ),
                 memstore,
-                metrics: MetricsRegistry::default(),
+                metrics: ServerMetrics::new(&registry),
+                net: NetMetrics::new(&registry),
+                registry,
                 next_session_id: AtomicU64::new(1),
                 next_query_id: AtomicU64::new(1),
                 max_total_prefetch: config.max_total_prefetch,
@@ -530,7 +536,6 @@ impl SharkServer {
                 wal_append_failures: AtomicU64::new(0),
                 plan_cache: (config.plan_cache_capacity > 0)
                     .then(|| Arc::new(PlanCache::new(config.plan_cache_capacity))),
-                net: NetCounters::default(),
             }),
         };
         // Boot checkpoint: snapshot, manifest and (fresh) WAL now agree
@@ -606,10 +611,28 @@ impl SharkServer {
         self.shared.plan_cache.as_ref()
     }
 
-    /// Wire/connection counters of the TCP frontend (all-zero when
-    /// [`SharkServer::serve`] was never called).
-    pub(crate) fn net_counters(&self) -> &NetCounters {
+    /// The TCP frontend's metrics (all-zero when [`SharkServer::serve`]
+    /// was never called).
+    pub(crate) fn net_metrics(&self) -> &NetMetrics {
         &self.shared.net
+    }
+
+    /// This server's metrics registry: the serving-layer families
+    /// (`shark_queries_*`, `shark_rejected_total`, the admission, exec and
+    /// time-to-first-row histograms, `shark_net_*`, `shark_spill_*`,
+    /// `shark_rdd_cache_evicted_*`). [`SharkServer::report`] reads the
+    /// same metrics.
+    pub fn metrics(&self) -> &shark_obs::MetricsRegistry {
+        &self.shared.registry
+    }
+
+    /// Prometheus text exposition: this server's families, followed by the
+    /// process-wide ones of [`shark_obs::metrics()`] (WAL, recovery, scan,
+    /// stage and simulated-cluster families).
+    pub fn render_prometheus(&self) -> String {
+        let mut text = self.shared.registry.render_prometheus();
+        text.push_str(&shark_obs::metrics().render_prometheus());
+        text
     }
 
     /// The shared catalog.
@@ -731,7 +754,7 @@ impl SharkServer {
         // A report is a durability point too: whatever the journals hold
         // is committed, so the WAL numbers below are current.
         shared.persist_durable();
-        let mut report = shared.metrics.aggregate();
+        let mut report = shared.metrics.report();
         report.peak_concurrent_queries = shared.admission.peak_running();
         report.peak_queued_queries = shared.admission.peak_queued();
         report.evictions = shared.memstore.evictions();
@@ -750,19 +773,20 @@ impl SharkServer {
             report.plan_cache_entries = cache.entries() as u64;
             report.plan_cache_capacity = cache.capacity() as u64;
         }
-        report.connections_opened = shared.net.opened();
-        report.connections_closed = shared.net.closed();
-        report.connections_active = shared.net.active();
-        report.connections_reaped = shared.net.reaped();
-        report.wire_bytes_sent = shared.net.bytes_sent();
-        report.wire_bytes_received = shared.net.bytes_received();
-        report.net_frames_sent = shared.net.frames_sent();
-        report.net_frames_received = shared.net.frames_received();
-        report.net_protocol_errors = shared.net.protocol_errors();
-        report.net_auth_failures = shared.net.auth_failures();
-        report.net_queries = shared.net.queries();
-        report.net_prepared_statements = shared.net.prepared_statements();
-        report.net_cancels = shared.net.cancels();
+        let net = &shared.net;
+        report.connections_opened = net.opened.get();
+        report.connections_closed = net.closed.get();
+        report.connections_active = net.active();
+        report.connections_reaped = net.reaped.get();
+        report.wire_bytes_sent = net.bytes_sent.get();
+        report.wire_bytes_received = net.bytes_received.get();
+        report.net_frames_sent = net.frames_sent.get();
+        report.net_frames_received = net.frames_received.get();
+        report.net_protocol_errors = net.protocol_errors.get();
+        report.net_auth_failures = net.auth_failures.get();
+        report.net_queries = net.queries.get();
+        report.net_prepared_statements = net.prepared.get();
+        report.net_cancels = net.cancels.get();
         // Live tables' rebuild counters, plus the frozen counts of versions
         // awaiting deferred reclamation, plus the retired counts of
         // versions already reclaimed — a rebuild moves between the three
@@ -819,7 +843,8 @@ impl SharkServer {
         report
     }
 
-    /// The raw per-query log, in completion order.
+    /// The most recent [`crate::metrics::QUERY_LOG_CAPACITY`] queries, in
+    /// completion order ([`SharkServer::report`] covers every query).
     pub fn query_log(&self) -> Vec<QueryMetrics> {
         self.shared.metrics.query_log()
     }
@@ -1362,7 +1387,7 @@ impl<'s> QueryLifecycle<'s> {
         let _trace = life.attach();
         let acquired = {
             // Admission-queue wait as its own span; the always-on histogram
-            // counterpart is observed in `MetricsRegistry::record`.
+            // counterpart is observed in `ServerMetrics::record`.
             let _wait = shark_obs::span("admission-wait");
             shared.admission.acquire()
         };

@@ -33,7 +33,6 @@ use std::fs;
 use std::io::Read as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -43,26 +42,28 @@ use shark_columnar::{
 };
 use shark_common::hash::FxHashMap;
 use shark_common::{Result, SharkError};
+use shark_obs::{Counter, Histogram, MetricsRegistry};
 use shark_sql::SpillSource;
 
 use crate::wal::{recovery_metrics, ManifestEntry};
 
-/// Cached unified-registry handles for the spill tier's hot-path metrics.
+/// The `shark_spill_*` family, registered in the owning server's registry:
+/// the tier's only lifetime counters, read by the getters below and by
+/// [`crate::ServerReport`].
 struct SpillMetrics {
-    write_seconds: Arc<shark_obs::Histogram>,
-    read_seconds: Arc<shark_obs::Histogram>,
-    demoted: Arc<shark_obs::Counter>,
-    promoted: Arc<shark_obs::Counter>,
-    bytes_written: Arc<shark_obs::Counter>,
-    bytes_read: Arc<shark_obs::Counter>,
-    poisoned: Arc<shark_obs::Counter>,
-    displaced: Arc<shark_obs::Counter>,
+    write_seconds: Arc<Histogram>,
+    read_seconds: Arc<Histogram>,
+    demoted: Arc<Counter>,
+    promoted: Arc<Counter>,
+    bytes_written: Arc<Counter>,
+    bytes_read: Arc<Counter>,
+    poisoned: Arc<Counter>,
+    displaced: Arc<Counter>,
+    write_failures: Arc<Counter>,
 }
 
-fn spill_metrics() -> &'static SpillMetrics {
-    static METRICS: std::sync::OnceLock<SpillMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| {
-        let reg = shark_obs::metrics();
+impl SpillMetrics {
+    fn new(reg: &MetricsRegistry) -> SpillMetrics {
         SpillMetrics {
             write_seconds: reg.histogram(
                 "shark_spill_write_seconds",
@@ -98,8 +99,12 @@ fn spill_metrics() -> &'static SpillMetrics {
                 "shark_spill_displaced_partitions_total",
                 "Spilled partitions deleted by disk-budget LRU displacement",
             ),
+            write_failures: reg.counter(
+                "shark_spill_write_failures_total",
+                "Demotions abandoned because the spill frame could not be written",
+            ),
         }
-    })
+    }
 }
 
 /// One spilled partition in the in-memory index.
@@ -178,14 +183,7 @@ pub struct SpillManager {
     dir: PathBuf,
     budget_bytes: u64,
     state: Mutex<SpillState>,
-    // Lifetime counters, readable without the state lock.
-    spilled_partitions: AtomicU64,
-    spilled_bytes: AtomicU64,
-    promoted_partitions: AtomicU64,
-    promoted_bytes: AtomicU64,
-    displaced_partitions: AtomicU64,
-    poisoned_files: AtomicU64,
-    write_failures: AtomicU64,
+    metrics: SpillMetrics,
 }
 
 /// FNV-1a over a table name, to keep spill file names unique even when
@@ -207,8 +205,12 @@ impl SpillManager {
     /// afterwards is removed by [`SpillManager::sweep_orphans`]. (An
     /// earlier version deleted every `.spill` file here, which raced
     /// restores that install the manager lazily and destroyed re-adoptable
-    /// frames.)
-    pub fn create(dir: impl Into<PathBuf>, budget_bytes: u64) -> Result<SpillManager> {
+    /// frames.) The tier's `shark_spill_*` metrics are registered in `reg`.
+    pub fn create(
+        dir: impl Into<PathBuf>,
+        budget_bytes: u64,
+        reg: &MetricsRegistry,
+    ) -> Result<SpillManager> {
         let dir = dir.into();
         fs::create_dir_all(&dir)
             .map_err(|e| SharkError::Config(format!("spill dir {}: {e}", dir.display())))?;
@@ -231,13 +233,7 @@ impl SpillManager {
                 promotions: Vec::new(),
                 wal_events: Vec::new(),
             }),
-            spilled_partitions: AtomicU64::new(0),
-            spilled_bytes: AtomicU64::new(0),
-            promoted_partitions: AtomicU64::new(0),
-            promoted_bytes: AtomicU64::new(0),
-            displaced_partitions: AtomicU64::new(0),
-            poisoned_files: AtomicU64::new(0),
-            write_failures: AtomicU64::new(0),
+            metrics: SpillMetrics::new(reg),
         })
     }
 
@@ -309,19 +305,17 @@ impl SpillManager {
         ));
         if let Err(e) = write(&tmp) {
             let _ = fs::remove_file(&tmp);
-            self.write_failures.fetch_add(1, Ordering::Relaxed);
+            self.metrics.write_failures.inc();
             return Err(SharkError::Execution(format!(
                 "spill write {}: {e}",
                 final_path.display()
             )));
         }
-        spill_metrics()
+        self.metrics
             .write_seconds
             .observe(started.elapsed().as_secs_f64());
-        spill_metrics().demoted.inc();
-        spill_metrics().bytes_written.add(spill_bytes);
-        self.spilled_partitions.fetch_add(1, Ordering::Relaxed);
-        self.spilled_bytes.fetch_add(spill_bytes, Ordering::Relaxed);
+        self.metrics.demoted.inc();
+        self.metrics.bytes_written.add(spill_bytes);
         if shark_obs::active() {
             shark_obs::event(
                 "spill-write",
@@ -384,8 +378,7 @@ impl SpillManager {
                 state.disk_bytes -= e.bytes;
             }
             let _ = fs::remove_file(self.file_path(&victim.0, victim.1));
-            spill_metrics().displaced.inc();
-            self.displaced_partitions.fetch_add(1, Ordering::Relaxed);
+            self.metrics.displaced.inc();
             let own = victim.0 == table && victim.1 == partition;
             displaced.push(victim);
             if own {
@@ -588,37 +581,32 @@ impl SpillManager {
 
     /// Lifetime demotions (partitions written to the tier).
     pub fn spilled_partitions(&self) -> u64 {
-        self.spilled_partitions.load(Ordering::Relaxed)
+        self.metrics.demoted.get()
     }
 
     /// Lifetime spill-frame bytes written.
     pub fn spilled_bytes(&self) -> u64 {
-        self.spilled_bytes.load(Ordering::Relaxed)
+        self.metrics.bytes_written.get()
     }
 
     /// Lifetime promotions (partitions read back).
     pub fn promoted_partitions(&self) -> u64 {
-        self.promoted_partitions.load(Ordering::Relaxed)
+        self.metrics.promoted.get()
     }
 
     /// Lifetime spill-frame bytes read back.
     pub fn promoted_bytes(&self) -> u64 {
-        self.promoted_bytes.load(Ordering::Relaxed)
+        self.metrics.bytes_read.get()
     }
 
     /// Lifetime partitions displaced by the disk budget.
     pub fn displaced_partitions(&self) -> u64 {
-        self.displaced_partitions.load(Ordering::Relaxed)
+        self.metrics.displaced.get()
     }
 
     /// Lifetime spill files found corrupt and discarded.
     pub fn poisoned_files(&self) -> u64 {
-        self.poisoned_files.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime demotions abandoned because the frame could not be written.
-    pub fn write_failures(&self) -> u64 {
-        self.write_failures.load(Ordering::Relaxed)
+        self.metrics.poisoned.get()
     }
 
     /// Delete a poisoned frame and forget its entry.
@@ -629,8 +617,7 @@ impl SpillManager {
         }
         drop(state);
         let _ = fs::remove_file(self.file_path(table, partition));
-        spill_metrics().poisoned.inc();
-        self.poisoned_files.fetch_add(1, Ordering::Relaxed);
+        self.metrics.poisoned.inc();
         if shark_obs::active() {
             shark_obs::event(
                 "spill-poisoned",
@@ -720,13 +707,11 @@ impl SpillSource for SpillManager {
         );
         drop(state);
         let _ = fs::remove_file(&path);
-        spill_metrics()
+        self.metrics
             .read_seconds
             .observe(started.elapsed().as_secs_f64());
-        spill_metrics().promoted.inc();
-        spill_metrics().bytes_read.add(io_bytes);
-        self.promoted_partitions.fetch_add(1, Ordering::Relaxed);
-        self.promoted_bytes.fetch_add(io_bytes, Ordering::Relaxed);
+        self.metrics.promoted.inc();
+        self.metrics.bytes_read.add(io_bytes);
         if shark_obs::active() {
             shark_obs::event(
                 "spill-read",
@@ -764,7 +749,7 @@ mod tests {
     #[test]
     fn store_then_fetch_moves_the_partition() {
         let dir = test_dir("roundtrip");
-        let mgr = SpillManager::create(&dir, u64::MAX).unwrap();
+        let mgr = SpillManager::create(&dir, u64::MAX, &MetricsRegistry::new()).unwrap();
         let p = partition(64);
         let outcome = mgr.store("t", 3, &p, 1).unwrap();
         assert!(outcome.spill_bytes > 0);
@@ -798,7 +783,7 @@ mod tests {
     #[test]
     fn version_mismatched_fetch_poisons_instead_of_serving_stale_rows() {
         let dir = test_dir("version");
-        let mgr = SpillManager::create(&dir, u64::MAX).unwrap();
+        let mgr = SpillManager::create(&dir, u64::MAX, &MetricsRegistry::new()).unwrap();
         let p = partition(32);
         mgr.store("t", 0, &p, 4).unwrap();
         // The table was dropped and recreated: scans now expect version 6.
@@ -812,14 +797,14 @@ mod tests {
     #[test]
     fn disk_budget_displaces_coldest_first() {
         let dir = test_dir("budget");
-        let mgr = SpillManager::create(&dir, 1).unwrap(); // placeholder, resized below
+        let mgr = SpillManager::create(&dir, 1, &MetricsRegistry::new()).unwrap(); // placeholder, resized below
         let p = partition(64);
         let frame_bytes = mgr.store("t", 0, &p, 1).unwrap().spill_bytes;
         let _ = fs::remove_dir_all(&dir);
 
         // Budget fits exactly two frames.
         let dir = test_dir("budget2");
-        let mgr = SpillManager::create(&dir, frame_bytes * 2).unwrap();
+        let mgr = SpillManager::create(&dir, frame_bytes * 2, &MetricsRegistry::new()).unwrap();
         assert!(mgr.store("t", 0, &p, 1).unwrap().displaced.is_empty());
         assert!(mgr.store("t", 1, &p, 1).unwrap().displaced.is_empty());
         let third = mgr.store("t", 2, &p, 1).unwrap();
@@ -836,7 +821,7 @@ mod tests {
     #[test]
     fn oversized_frame_displaces_itself_not_others() {
         let dir = test_dir("oversized");
-        let mgr = SpillManager::create(&dir, 8).unwrap(); // smaller than any frame
+        let mgr = SpillManager::create(&dir, 8, &MetricsRegistry::new()).unwrap(); // smaller than any frame
         let p = partition(64);
         let outcome = mgr.store("t", 5, &p, 1).unwrap();
         assert_eq!(outcome.displaced, vec![("t".to_string(), 5)]);
@@ -849,7 +834,7 @@ mod tests {
     #[test]
     fn corrupt_frame_is_poisoned_and_skipped() {
         let dir = test_dir("poison");
-        let mgr = SpillManager::create(&dir, u64::MAX).unwrap();
+        let mgr = SpillManager::create(&dir, u64::MAX, &MetricsRegistry::new()).unwrap();
         let p = partition(64);
         mgr.store("t", 0, &p, 1).unwrap();
         // Flip a payload byte on disk.
@@ -880,7 +865,7 @@ mod tests {
         fs::write(dir.join("old_0.spill"), b"possibly re-adoptable").unwrap();
         fs::write(dir.join("old_1.spill.tmp-3f"), b"crashed mid-write").unwrap();
         fs::write(dir.join("unrelated.txt"), b"keep me").unwrap();
-        let mgr = SpillManager::create(&dir, u64::MAX).unwrap();
+        let mgr = SpillManager::create(&dir, u64::MAX, &MetricsRegistry::new()).unwrap();
         // Intact frames survive startup so a restore can adopt them; only
         // the crashed partial is gone.
         assert!(dir.join("old_0.spill").exists());
@@ -901,7 +886,7 @@ mod tests {
         let p = partition(48);
         // First incarnation: three frames on disk, manifest captured.
         let manifest = {
-            let mgr = SpillManager::create(&dir, u64::MAX).unwrap();
+            let mgr = SpillManager::create(&dir, u64::MAX, &MetricsRegistry::new()).unwrap();
             mgr.store("t", 0, &p, 2).unwrap();
             mgr.store("t", 1, &p, 2).unwrap();
             mgr.store("t", 2, &p, 2).unwrap();
@@ -916,7 +901,7 @@ mod tests {
         fs::write(&path1, &bytes).unwrap();
 
         // Second incarnation adopts from the manifest.
-        let mgr = SpillManager::create(&dir, u64::MAX).unwrap();
+        let mgr = SpillManager::create(&dir, u64::MAX, &MetricsRegistry::new()).unwrap();
         let (adopted, rejected) = mgr.adopt(&manifest);
         // The header probe is header-only, so the payload flip sails
         // through adoption…
@@ -938,7 +923,7 @@ mod tests {
         let dir = test_dir("adopt-reject");
         let p = partition(48);
         let manifest = {
-            let mgr = SpillManager::create(&dir, u64::MAX).unwrap();
+            let mgr = SpillManager::create(&dir, u64::MAX, &MetricsRegistry::new()).unwrap();
             mgr.store("t", 0, &p, 2).unwrap();
             mgr.store("t", 1, &p, 2).unwrap();
             mgr.store("t", 2, &p, 2).unwrap();
@@ -958,7 +943,7 @@ mod tests {
             .unwrap()
             .table_version = 9;
 
-        let mgr = SpillManager::create(&dir, u64::MAX).unwrap();
+        let mgr = SpillManager::create(&dir, u64::MAX, &MetricsRegistry::new()).unwrap();
         let (adopted, rejected) = mgr.adopt(&tampered);
         assert_eq!((adopted, rejected), (0, 3));
         assert_eq!(mgr.spilled_partition_count(), 0);
@@ -972,7 +957,7 @@ mod tests {
     #[test]
     fn remove_table_clears_only_that_table() {
         let dir = test_dir("remove");
-        let mgr = SpillManager::create(&dir, u64::MAX).unwrap();
+        let mgr = SpillManager::create(&dir, u64::MAX, &MetricsRegistry::new()).unwrap();
         let p = partition(32);
         mgr.store("a", 0, &p, 1).unwrap();
         mgr.store("a", 1, &p, 1).unwrap();

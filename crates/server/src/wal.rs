@@ -88,6 +88,18 @@ fn io_err(what: &str, path: &Path, e: std::io::Error) -> SharkError {
     SharkError::Execution(format!("{what} {}: {e}", path.display()))
 }
 
+/// Fsync the directory holding `path`, so a rename into it or a file
+/// created in it survives a power cut and not only a process crash.
+fn sync_parent_dir(path: &Path) -> Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| io_err("sync dir", dir, e))
+}
+
 fn format_err(what: &str, detail: impl Into<String>) -> SharkError {
     SharkError::Execution(format!("{what}: {}", detail.into()))
 }
@@ -649,6 +661,9 @@ impl WalWriter {
         file.write_all(&header)
             .and_then(|_| file.sync_data())
             .map_err(|e| io_err("wal header", &path, e))?;
+        // The checkpoint truncates the WAL only after the snapshot and
+        // manifest renames are durable; the fresh file's entry must be too.
+        sync_parent_dir(&path)?;
         Ok(WalWriter {
             file,
             path,
@@ -877,7 +892,10 @@ fn write_envelope(path: &Path, magic: &[u8; 8], version: u32, payload: &[u8]) ->
         .and_then(|_| file.sync_data())
         .map_err(|e| io_err("write", &tmp, e))?;
     drop(file);
-    fs::rename(&tmp, path).map_err(|e| io_err("rename", path, e))
+    fs::rename(&tmp, path).map_err(|e| io_err("rename", path, e))?;
+    // Without this the rename can be lost in a power cut while a later
+    // step of the checkpoint (the WAL truncation) survives.
+    sync_parent_dir(path)
 }
 
 /// Read and validate an envelope written by [`write_envelope`].

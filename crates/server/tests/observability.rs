@@ -338,7 +338,7 @@ fn streamed_explain_analyze_row_counts_match_plain_run() {
         .expect("stream line");
     assert_eq!(field_u64(stream_line, "rows"), expected);
     // Admission-wait histogram saw this session's statements.
-    let snap = shark_obs::metrics().snapshot();
+    let snap = server.metrics().snapshot();
     assert!(snap
         .histogram("shark_admission_wait_seconds")
         .is_some_and(|h| h.count >= 2));
